@@ -150,14 +150,7 @@ let explain_class comp = function
   | Decomp.Ghd g ->
       Printf.sprintf "cyclic -> hypertree decomposition (width %d) + join-tree DP"
         (Ghd.width g)
-  | Decomp.Backtrack ->
-      let why =
-        if Query.has_neqs comp then
-          if Wcoj.supports_neqs comp then "inequalities (wcoj disabled)"
-          else "inequalities (variable outside every atom)"
-        else "cyclic (wcoj disabled)"
-      in
-      why ^ " -> backtracking kernel"
+  | Decomp.Backtrack -> "inequalities (variable outside every atom) -> backtracking kernel"
 
 let explain_text groups =
   List.iteri

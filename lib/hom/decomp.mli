@@ -13,8 +13,7 @@
     the leapfrog kernel ({!Wcoj}) or, when the order is weak and a
     width ≤ 2 decomposition exists, the join-tree DP over hypertree bags
     ({!Ghd}); the compiled backtracking kernel survives for components
-    whose inequalities the leapfrog cannot filter, and behind the escape
-    hatches.
+    whose inequalities the leapfrog cannot filter.
 
     Plan selection is observable through five process-wide counters in
     {!Bagcq_obs.Metrics.global}: [plan_components] (components seen by
@@ -39,16 +38,13 @@ val factor : Query.t -> (Query.t * int) list
     order.  [count q D = Π_i count cᵢ D ^ mᵢ] over [factor q]; the empty
     conjunction factors into [[]]. *)
 
-type tree = {
-  atom : Atom.t;
-  key : string list;  (** shared variables with the parent, sorted; [[]] at
-                          the root *)
-  children : tree list;
-}
-(** A join tree over a component's atoms.  The GYO parent relation has the
-    running-intersection property, so each edge's [key] — the variables the
-    child atom shares with its parent atom — is exactly the interface
-    between the child's subtree and the rest of the query. *)
+type tree = Atom.t Jointree.shape
+(** A join tree over a component's atoms, compiled for {!Jointree}: one
+    atom node per atom, framed on the atom's distinct variables.  The GYO
+    parent relation has the running-intersection property, so each edge's
+    interface — the variables the child atom shares with its parent atom,
+    sorted — is exactly the interface between the child's subtree and the
+    rest of the query. *)
 
 type strategy =
   | Dp of tree  (** α-acyclic, no inequalities: count by {!count_tree} *)
@@ -59,8 +55,8 @@ type strategy =
       (** cyclic with a weak leapfrog order but small hypertree width:
           join-tree DP over materialised decomposition bags *)
   | Backtrack
-      (** inequality variables outside every atom, or an escape hatch
-          set: compiled backtracking kernel *)
+      (** inequality variables outside every atom: compiled backtracking
+          kernel *)
 
 val choose : Query.t -> strategy
 (** Classify one component (callers pass the elements of {!factor}).
@@ -72,11 +68,8 @@ val choose : Query.t -> strategy
     leapfrog plan, and when its variable order has ≥ 4 weak ranks
     (iterators unsupported by any earlier binding — {!Wcoj.rank_supports})
     {e and} {!Ghd.plan} finds a width ≤ 2 decomposition, the component
-    runs the decomposition instead.  Escape hatches, read per call and
-    value-sensitive (unset, [""] and ["0"] all mean "off"):
-    [BAGCQ_NO_WCOJ] restores the backtracking fallback for everything
-    cyclic (and disables ≠ filtering), [BAGCQ_NO_GHD] pins cyclic
-    components to the leapfrog.
+    runs the decomposition instead.  A caller that needs one particular
+    kernel builds it directly ({!Wcoj.compile}, {!Ghd.plan}).
 
     {!choose} does not touch the [plan_*] counters — callers holding a
     plan cache call {!record_choice} on misses. *)
@@ -89,69 +82,21 @@ val record_choice : strategy -> unit
 
 val count_tree :
   ?budget:Bagcq_guard.Budget.t -> tree -> Bagcq_relational.Structure.t -> Nat.t
-(** Counts homomorphisms of an acyclic component by dynamic programming
-    over the join tree: each node's table maps a [key] projection to the
-    [Nat] weight of its subtree, computed bottom-up in one pass over the
-    node's tuples — O(Σ_nodes tuples·arity), never exponential.  Weights
-    are bignums: unlike backtracking, the DP can produce counts that
-    dwarf the work done computing them.  With [?budget] every tuple
-    considered ticks once per node (plus one tick per node entered), and
-    the call unwinds with {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
+(** Counts homomorphisms of an acyclic component by the {!Jointree} pass
+    over the relations' tuples — O(Σ_nodes tuples·arity), never
+    exponential.  With [?budget] every tuple considered ticks once per
+    node (plus one tick per node entered), and the call unwinds with
+    {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
 
-(** {2 Materialised DP state}
-
-    The same dynamic program as {!count_tree} with the per-node bignum
-    weight tables kept alive — the substrate of incremental hom-count
-    maintenance ([lib/store]).  A single tuple insert/delete updates the
-    tables of the nodes carrying the mutated symbol with one exact
-    {!Bagcq_bignum.Nat.add}/[sub] at the tuple's key projection; the change
-    then climbs the tree as per-key deltas through reverse maps (child
-    join-key → matching parent tuples), so each ancestor re-weighs only
-    the tuples joining a changed key: O(tree depth × fan-in of the mutated
-    key) per delta instead of a full bottom-up pass.  Only when the
-    mutated symbol reaches a node through several subtree paths does that
-    node fall back to rescanning its relation. *)
-
-type dp
-(** Materialised per-node tables for one acyclic component against one
-    evolving database.  Mutable: {!dp_delta} updates it in place, so a [dp]
-    must be guarded by whatever lock guards its database.  After a budget
-    trip mid-{!dp_delta} the tables may be half-propagated — discard the
-    state and rebuild; never read {!dp_count} from it. *)
-
-val dp_build :
+val count :
   ?budget:Bagcq_guard.Budget.t ->
-  tree ->
+  Query.t ->
+  strategy ->
   Bagcq_relational.Structure.t ->
-  dp option
-(** One bottom-up pass materialising every node table.  [None] when the
-    component mentions a constant the structure does not interpret — the
-    count is zero and not maintainable (a later insert can bind the
-    constant), so callers fall back to recompute-on-delta.  Ticks
-    [?budget] like {!count_tree} and unwinds on a trip. *)
-
-val dp_count : dp -> Nat.t
-(** The root table's entry at the empty key: |Hom(component, D)|.  O(1). *)
-
-val dp_mentions : dp -> Bagcq_relational.Symbol.t -> bool
-(** Whether a node of the tree scans the given symbol — deltas on other
-    symbols cannot change the count and skip propagation entirely. *)
-
-val dp_delta :
-  ?budget:Bagcq_guard.Budget.t ->
-  dp ->
-  Bagcq_relational.Structure.t ->
-  Bagcq_relational.Symbol.t ->
-  Bagcq_relational.Tuple.t ->
-  add:bool ->
-  unit
-(** [dp_delta dp d sym tup ~add] folds one tuple insert ([add:true]) or
-    delete ([add:false]) into the tables.  [d] is the structure {e after}
-    the mutation (ancestor re-aggregation scans it); the caller guarantees
-    the mutation was exactly this tuple — inserted while absent, deleted
-    while present — which is what makes the delete-side {!Nat.sub} exact.
-    Ticks [?budget] per node entered and per tuple re-scanned; on a trip
-    the state is half-propagated and must be discarded. *)
+  Nat.t
+(** [count c s D] runs component [c] under the strategy [choose c]
+    returned — the one dispatch from strategy to kernel.  [Backtrack]
+    compiles its plan per call. *)
 
 val render : strategy -> string list
 (** Human-readable plan lines for [bagcq explain]: the join tree indented

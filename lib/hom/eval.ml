@@ -3,19 +3,6 @@ open Bagcq_cq
 
 module QueryMap = Map.Make (Query)
 
-(* One per-component execution strategy, chosen by [Decomp.choose] on the
-   first encounter with a canonical component: acyclic inequality-free
-   components count by join-tree dynamic programming, cyclic ones by the
-   worst-case-optimal leapfrog kernel (which also filters inequalities)
-   or — weak leapfrog order, small hypertree width — by the join-tree DP
-   over decomposition bags, and components whose inequality variables
-   escape every atom by the compiled backtracking kernel. *)
-type strategy =
-  | Dp of Decomp.tree
-  | Leapfrog of Wcoj.plan
-  | Hyper of Ghd.t
-  | Search of Plan.t
-
 (* The evaluation cache.  [plans] maps a canonical component to its
    strategy and is never invalidated (strategies depend only on the query);
    [counts] memoises per-component counts against [counts_for], compared by
@@ -41,7 +28,7 @@ module Metrics = Bagcq_obs.Metrics
    hunts allocate one cache per worker and those must not leak into a
    process-wide dump. *)
 type cache = {
-  plans : strategy QueryMap.t ref;
+  plans : Decomp.strategy QueryMap.t ref;
   counts : Nat.t QueryMap.t ref;
   mutable counts_for : Bagcq_relational.Structure.t option;
   plan_hits : Metrics.counter;
@@ -84,17 +71,10 @@ let plan_for cache key =
       p
   | None ->
       Metrics.incr cache.plan_misses;
-      let choice = Decomp.choose key in
+      let p = Decomp.choose key in
       (* cold plan: this is the one site where the plan_* selection
          counters advance, so they track plan-cache misses exactly *)
-      Decomp.record_choice choice;
-      let p =
-        match choice with
-        | Decomp.Dp t -> Dp t
-        | Decomp.Wcoj w -> Leapfrog w
-        | Decomp.Ghd g -> Hyper g
-        | Decomp.Backtrack -> Search (Plan.compile key)
-      in
+      Decomp.record_choice p;
       cache.plans := QueryMap.add key p !(cache.plans);
       p
 
@@ -113,11 +93,7 @@ let with_cache cache d =
   | None -> create_cache ()
 
 (* One memoised count per canonical component ([Decomp.factor] already
-   canonicalised the key).  Acyclic inequality-free components run the
-   join-tree DP; everything else — cyclic cores, components carrying
-   inequalities, all-constant singletons with inequalities — runs the
-   compiled kernel, whose count always fits an int (it is bounded by the
-   backtracking work done). *)
+   canonicalised the key), run by the strategy the plan cache holds. *)
 let count_memo ?budget cache key d =
   match QueryMap.find_opt key !(cache.counts) with
   | Some c ->
@@ -125,13 +101,7 @@ let count_memo ?budget cache key d =
       c
   | None ->
       Metrics.incr cache.count_misses;
-      let c =
-        match plan_for cache key with
-        | Dp t -> Decomp.count_tree ?budget t d
-        | Leapfrog w -> Wcoj.count ?budget w d
-        | Hyper g -> Ghd.count ?budget g d
-        | Search p -> Nat.of_int (Solver.count_plan ?budget p d)
-      in
+      let c = Decomp.count ?budget key (plan_for cache key) d in
       cache.counts := QueryMap.add key c !(cache.counts);
       c
 
@@ -157,9 +127,8 @@ let satisfies ?budget ?cache d q =
   List.for_all
     (fun (comp, _mult) ->
       match plan_for cache comp with
-      | Dp _ | Leapfrog _ | Hyper _ ->
-          not (Nat.is_zero (count_memo ?budget cache comp d))
-      | Search p -> Solver.exists_plan ?budget p d)
+      | Decomp.Backtrack -> Solver.exists_plan ?budget (Plan.compile comp) d
+      | Dp _ | Wcoj _ | Ghd _ -> not (Nat.is_zero (count_memo ?budget cache comp d)))
     (Decomp.factor q)
 
 let count_pquery_factored ?budget ?cache pq d =

@@ -13,10 +13,7 @@ open Bagcq_cq
 
 type cache
 (** An evaluation cache: one execution strategy per canonical component —
-    a join-tree dynamic program for acyclic inequality-free components, a
-    worst-case-optimal leapfrog plan (with ≠ filters) or a bounded-width
-    hypertree decomposition for cyclic ones, a compiled backtracking plan
-    otherwise, chosen by {!Decomp.choose} and kept for the cache's
+    the {!Decomp.strategy} {!Decomp.choose} picks, kept for the cache's
     lifetime (strategies depend only on the query) — plus component
     counts for the most recent structure (invalidated whenever evaluation
     moves to a structure that is not physically the same).  Cold plans

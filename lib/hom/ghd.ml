@@ -13,31 +13,47 @@ let plans_built = Metrics.counter Metrics.global "ghd_plans_built"
 let ghd_runs = Metrics.counter Metrics.global "ghd_runs"
 let ghd_bag_rows = Metrics.counter Metrics.global "ghd_bag_rows"
 
-(* One bag of a generalised hypertree decomposition.  [b_chi] is χ(B) —
-   the bag's variables, sorted.  [b_cover] is λ(B) — atoms whose variables
-   jointly cover χ(B); they may mention variables outside χ(B), which is
-   the "generalised" part.  [b_atoms] is the full join the bag
-   materialises — λ(B) plus every query atom assigned to this bag — in
-   the backtracking join order [bagcq explain] reports.  [b_key] indexes
-   into [b_chi]: the positions of χ(B) ∩ χ(parent), the DP interface. *)
-type bag = {
-  b_chi : string array;
-  b_cover : Atom.t array;
-  b_atoms : Atom.t array;
-  b_key : int array;
-  b_children : bag list;
+(* One bag of a generalised hypertree decomposition, as the row source of
+   a {!Jointree} bag node.  [chi] is χ(B) — the bag's variables, sorted,
+   which is also the node's frame.  [cover] is λ(B) — atoms whose
+   variables jointly cover χ(B); they may mention variables outside χ(B),
+   which is the "generalised" part.  [atoms] is the full join the bag
+   materialises — λ(B) plus every query atom assigned to this bag — in the
+   backtracking join order [bagcq explain] reports, compiled into [steps]
+   over a frame of [nvars] slots (χ first, then the cover's extension
+   variables). *)
+type join = {
+  chi : string array;
+  cover : Atom.t array;
+  atoms : Atom.t array;
+  steps : step array;
+  nvars : int;
 }
 
+(* One atom of a bag join.  [probe] is the first position fixed before the
+   atom is reached — a constant or a variable bound by an earlier atom —
+   whose index bucket is scanned instead of the whole relation.
+   [private_pos], for a probe-free atom, marks the positions binding
+   variables outside χ that no other atom reads: pure range restrictors,
+   blanked and deduplicated once per count instead of enumerated. *)
+and step = {
+  sym : Symbol.t;
+  pat : Jointree.pattern;
+  probe : int option;
+  private_pos : bool array option;
+}
+
+type bag = join Jointree.shape
 type t = { g_root : bag; g_width : int; g_nbags : int }
 
 let width g = g.g_width
 let nbags g = g.g_nbags
 let root g = g.g_root
-let bag_vars b = Array.to_list b.b_chi
-let bag_cover b = Array.to_list b.b_cover
-let bag_atoms b = Array.to_list b.b_atoms
-let bag_key b = List.map (fun i -> b.b_chi.(i)) (Array.to_list b.b_key)
-let bag_children b = b.b_children
+let bag_vars (b : bag) = Array.to_list b.src.chi
+let bag_cover (b : bag) = Array.to_list b.src.cover
+let bag_atoms (b : bag) = Array.to_list b.src.atoms
+let bag_key (b : bag) = List.map (fun i -> b.src.chi.(i)) (Array.to_list b.key)
+let bag_children (b : bag) = b.children
 
 (* ------------------------- decomposition search ----------------------- *)
 
@@ -225,6 +241,49 @@ let join_order (atoms : Atom.t list) =
   done;
   List.rev !out
 
+(* The query-only half of a bag's materialisation, compiled once per
+   plan: the frame (χ first, then the cover's extension variables),
+   per-atom ops, probes and private positions. *)
+let compile_join chi cover atoms =
+  let vars = List.concat_map Atom.vars (Array.to_list atoms) in
+  let extension = List.filter (fun x -> not (Array.mem x chi)) vars in
+  let frame = Array.append chi (Array.of_list (List.sort_uniq compare extension)) in
+  let bound = Array.make (Array.length frame) false in
+  let pats =
+    Array.map
+      (fun a ->
+        (* fixed before the atom is reached: a constant, or a slot bound
+           by an *earlier* atom — a same-atom repeat is an [Op_check] too,
+           but its slot is not yet set when the probe runs *)
+        let earlier = Array.copy bound in
+        let pat = Jointree.pattern (Jointree.slot frame) bound (Atom.args a) in
+        let fixed = function
+          | Jointree.Op_cst _ -> true
+          | Op_check i -> earlier.(i)
+          | Op_bind _ -> false
+        in
+        (pat, Array.find_index fixed pat.ops))
+      atoms
+  in
+  let checked j =
+    Array.exists
+      (fun ((p : Jointree.pattern), _) ->
+        Array.exists (function Jointree.Op_check i -> i = j | _ -> false) p.ops)
+      pats
+  in
+  let step a ((pat : Jointree.pattern), probe) =
+    let priv =
+      Array.map
+        (function
+          | Jointree.Op_bind j -> j >= Array.length chi && not (checked j)
+          | Op_cst _ | Op_check _ -> false)
+        pat.ops
+    in
+    let private_pos = if probe = None && Array.exists Fun.id priv then Some priv else None in
+    { sym = Atom.sym a; pat; probe; private_pos }
+  in
+  { chi; cover; atoms; steps = Array.map2 step atoms pats; nvars = Array.length frame }
+
 let plan (q : Query.t) : t option =
   if Query.has_neqs q then None
   else begin
@@ -353,7 +412,8 @@ let plan (q : Query.t) : t option =
           done;
           let rec build i =
             let chi = raws.(i).r_chi in
-            let chi_arr = Array.of_list (StringSet.elements chi) in
+            let frame s = Array.of_list (StringSet.elements s) in
+            let chi_arr = frame chi in
             let cover =
               match find_cover atom_sets chi with
               | Some c -> c
@@ -366,23 +426,24 @@ let plan (q : Query.t) : t option =
             let locals =
               List.filter (fun a -> not (List.memq a cover)) (List.rev assigned.(i))
             in
-            let key =
-              if raws.(i).r_parent < 0 then [||]
-              else begin
-                let pchi = raws.(raws.(i).r_parent).r_chi in
-                let ks = ref [] in
-                Array.iteri
-                  (fun p x -> if StringSet.mem x pchi then ks := p :: !ks)
-                  chi_arr;
-                Array.of_list (List.rev !ks)
-              end
+            (* rows are χ-tuples, so the node binds its frame in order; the
+               interface χ(B) ∩ χ(parent) is sorted in both frames *)
+            let pchi =
+              if raws.(i).r_parent < 0 then StringSet.empty
+              else raws.(raws.(i).r_parent).r_chi
             in
+            let interface = StringSet.elements (StringSet.inter chi pchi) in
+            let slots arr = Array.of_list (List.map (Jointree.slot arr) interface) in
             {
-              b_chi = chi_arr;
-              b_cover = Array.of_list cover;
-              b_atoms = Array.of_list (join_order (cover @ locals));
-              b_key = key;
-              b_children = List.map build (List.rev kids.(i));
+              Jointree.src =
+                compile_join chi_arr (Array.of_list cover)
+                  (Array.of_list (join_order (cover @ locals)));
+              pat =
+                { ops = Array.mapi (fun i _ -> Jointree.Op_bind i) chi_arr; consts = [] };
+              nvars = Array.length chi_arr;
+              key = slots chi_arr;
+              lookup = slots (frame pchi);
+              children = List.map build (List.rev kids.(i));
             }
           in
           let root_ix = ref (n - 1) in
@@ -402,230 +463,80 @@ let plan (q : Query.t) : t option =
 
 (* ------------------------------ counting ------------------------------ *)
 
-module KeyTbl = Hashtbl.Make (struct
-  type t = Value.t array
+let blank = Value.int 0
 
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i < 0 || (Value.equal a.(i) b.(i) && go (i - 1)) in
-    go (Array.length a - 1)
-
-  let hash (t : Value.t array) =
-    Array.fold_left (fun h v -> (h * 31) + Value.hash v) 17 t
-end)
-
-exception Unsat_const
-
-type op = Op_cst of Value.t | Op_check of int | Op_bind of int
-
-(* The bag-relation DP.  Bottom-up over the decomposition: each bag
-   materialises the *distinct* projections onto χ(B) of the join of its
-   atoms (a backtracking join over [Index] probes — duplicates from the
-   projection are folded by the seen-set, because a bag row asserts only
-   the *existence* of an extension), weights each row by the product of
-   its children's table entries under the shared-variable projection, and
-   aggregates by the bag's parent key.  Every atom is enforced in exactly
-   one bag and χ-sets of any variable form a connected subtree, so the
-   glued rows are in bijection with the satisfying assignments and the
-   root's single entry is exactly |Hom(component, D)|.  One budget tick
-   per candidate tuple keeps fuel semantics: a fuel-limited run trips
+(* A bag's row source: the *distinct* projections onto χ(B) of the join of
+   its atoms — a backtracking join over [Index] probes, duplicates folded
+   by the seen-set because a bag row asserts only the *existence* of an
+   extension.  Opening the source interprets the constants and runs the
+   pre-projections (ticking), before the bag's children are evaluated; the
+   join itself runs during the bag's scan.  One budget tick per candidate
+   tuple keeps fuel semantics: a fuel-limited run trips
    mid-materialisation. *)
+let bag_rows ~tick ~emitted idx d (j : join) =
+  let ops = Array.map (fun s -> Jointree.resolve d s.pat) j.steps in
+  let candidates s ops =
+    let si = Index.sym_index idx s.sym in
+    match (s.probe, s.private_pos) with
+    | Some p, _ -> (
+        match ops.(p) with
+        | Jointree.Op_cst v ->
+            let ts = Index.candidates si ~pos:p v in
+            fun _ -> ts
+        | Op_check i | Op_bind i -> fun env -> Index.candidates si ~pos:p env.(i))
+    | None, None -> fun _ -> Index.all si
+    | None, Some priv ->
+        (* first occurrences, in index order *)
+        let dedup = Jointree.KeyTbl.create 64 in
+        let fresh (tup : Tuple.t) =
+          tick ();
+          let norm = Array.mapi (fun p v -> if priv.(p) then blank else v) tup in
+          if Jointree.KeyTbl.mem dedup norm then None
+          else begin
+            Jointree.KeyTbl.add dedup norm ();
+            Some norm
+          end
+        in
+        let ts = Array.of_list (List.filter_map fresh (Array.to_list (Index.all si))) in
+        fun _ -> ts
+  in
+  let candidates = Array.map2 candidates j.steps ops in
+  fun emit ->
+    let nchi = Array.length j.chi in
+    let env = Array.make (max 1 j.nvars) blank in
+    let seen = Jointree.KeyTbl.create 64 in
+    let rec join s =
+      if s = Array.length ops then begin
+        let row = Array.sub env 0 nchi in
+        if not (Jointree.KeyTbl.mem seen row) then begin
+          Jointree.KeyTbl.add seen row ();
+          incr emitted;
+          emit row
+        end
+      end
+      else
+        Array.iter
+          (fun (tup : Tuple.t) ->
+            tick ();
+            if Jointree.matches ops.(s) env tup then join (s + 1))
+          (candidates.(s) env)
+    in
+    join 0
+
+(* The bag-relation DP: every atom is enforced in exactly one bag and the
+   χ-sets of any variable form a connected subtree, so the glued rows are
+   in bijection with the satisfying assignments. *)
 let count ?budget (g : t) d =
   Metrics.incr ghd_runs;
-  let rows_seen = ref 0 in
-  let tick =
-    match budget with None -> fun () -> () | Some b -> fun () -> Budget.tick b
-  in
+  let emitted = ref 0 in
+  let tick = Jointree.ticker budget in
   let idx = Index.get d in
-  let interp c =
-    match Structure.interpretation d c with
-    | Some v -> v
-    | None -> raise_notrace Unsat_const
-  in
-  let compute () =
-    let rec pass bag =
-      let nchi = Array.length bag.b_chi in
-      (* variable frame: χ first, then extension variables of the cover *)
-      let var_pos = Hashtbl.create 8 in
-      Array.iteri (fun i x -> Hashtbl.add var_pos x i) bag.b_chi;
-      let nvars = ref nchi in
-      Array.iter
-        (fun a ->
-          List.iter
-            (fun x ->
-              if not (Hashtbl.mem var_pos x) then begin
-                Hashtbl.add var_pos x !nvars;
-                incr nvars
-              end)
-            (Atom.vars a))
-        bag.b_atoms;
-      let env = Array.make (max 1 !nvars) (Value.int 0) in
-      let bound = Array.make (max 1 !nvars) false in
-      (* per-atom ops in join order; [probe] is the first position whose
-         variable is bound by an earlier atom, if any — the index probe *)
-      let steps =
-        Array.map
-          (fun a ->
-            let args = Atom.args a in
-            (* positions bound by *earlier atoms* — a same-atom repeat is
-               an [Op_check] too but its env slot is not yet set when the
-               probe runs, so it must not be used as one *)
-            let pre_bound = Array.copy bound in
-            let ops =
-              Array.map
-                (function
-                  | Term.Cst c -> Op_cst (interp c)
-                  | Term.Var x ->
-                      let i = Hashtbl.find var_pos x in
-                      if bound.(i) then Op_check i
-                      else begin
-                        bound.(i) <- true;
-                        Op_bind i
-                      end)
-                args
-            in
-            let probe = ref None in
-            Array.iteri
-              (fun p op ->
-                if !probe = None then
-                  match op with
-                  | Op_cst v -> probe := Some (p, `V v)
-                  | Op_check i when pre_bound.(i) -> probe := Some (p, `E i)
-                  | Op_check _ | Op_bind _ -> ())
-              ops;
-            (Index.sym_index idx (Atom.sym a), ops, !probe))
-          bag.b_atoms
-      in
-      (* A cover atom can carry *private* variables: bound here, outside
-         χ, read by no other atom (pure range restrictors, e.g. the v in
-         E(v,x) covering only x).  Enumerating them multiplies work by
-         their degree only for the seen-set to fold it away again — so
-         env-independent steps (no probe) are pre-projected: private
-         positions are blanked and the tuple list deduped once per bag. *)
-      let checked = Array.make (max 1 !nvars) false in
-      Array.iter
-        (fun (_, ops, _) ->
-          Array.iter
-            (function Op_check j -> checked.(j) <- true | _ -> ())
-            ops)
-        steps;
-      let blank = Value.int 0 in
-      let steps =
-        Array.map
-          (fun (si, ops, probe) ->
-            let private_pos =
-              Array.map
-                (function
-                  | Op_bind j -> j >= nchi && not checked.(j)
-                  | Op_cst _ | Op_check _ -> false)
-                ops
-            in
-            let projected =
-              if probe <> None || not (Array.exists Fun.id private_pos) then
-                None
-              else begin
-                let dedup = KeyTbl.create 64 in
-                let out = ref [] in
-                Array.iter
-                  (fun (tup : Tuple.t) ->
-                    tick ();
-                    let norm =
-                      Array.mapi
-                        (fun p v -> if private_pos.(p) then blank else v)
-                        tup
-                    in
-                    if not (KeyTbl.mem dedup norm) then begin
-                      KeyTbl.add dedup norm ();
-                      out := norm :: !out
-                    end)
-                  (Index.all si);
-                Some (Array.of_list (List.rev !out))
-              end
-            in
-            (si, ops, probe, projected))
-          steps
-      in
-      let children =
-        List.map
-          (fun ch ->
-            let tbl = pass ch in
-            let lookup =
-              Array.map (fun p -> Hashtbl.find var_pos ch.b_chi.(p)) ch.b_key
-            in
-            (tbl, lookup))
-          bag.b_children
-      in
-      let seen = KeyTbl.create 64 in
-      let tbl = KeyTbl.create 64 in
-      let nsteps = Array.length steps in
-      let rec join s =
-        if s = nsteps then begin
-          let row = Array.sub env 0 nchi in
-          if not (KeyTbl.mem seen row) then begin
-            KeyTbl.add seen row ();
-            incr rows_seen;
-            let w =
-              List.fold_left
-                (fun acc (ctbl, cpos) ->
-                  if Nat.is_zero acc then acc
-                  else
-                    match
-                      KeyTbl.find_opt ctbl (Array.map (fun p -> env.(p)) cpos)
-                    with
-                    | Some s -> Nat.mul acc s
-                    | None -> Nat.zero)
-                Nat.one children
-            in
-            if not (Nat.is_zero w) then begin
-              let key = Array.map (fun p -> row.(p)) bag.b_key in
-              let prev = Option.value ~default:Nat.zero (KeyTbl.find_opt tbl key) in
-              KeyTbl.replace tbl key (Nat.add prev w)
-            end
-          end
-        end
-        else begin
-          let si, ops, probe, projected = steps.(s) in
-          let tuples =
-            match (projected, probe) with
-            | Some ts, _ -> ts
-            | None, None -> Index.all si
-            | None, Some (p, `V v) -> Index.candidates si ~pos:p v
-            | None, Some (p, `E i) -> Index.candidates si ~pos:p env.(i)
-          in
-          let nops = Array.length ops in
-          Array.iter
-            (fun (tup : Tuple.t) ->
-              tick ();
-              let rec matches i =
-                i = nops
-                || (match ops.(i) with
-                   | Op_cst v -> Value.equal tup.(i) v
-                   | Op_check j -> Value.equal tup.(i) env.(j)
-                   | Op_bind j ->
-                       env.(j) <- tup.(i);
-                       true)
-                   && matches (i + 1)
-              in
-              if matches 0 then join (s + 1))
-            tuples
-        end
-      in
-      join 0;
-      tbl
-    in
-    let tbl = pass g.g_root in
-    Option.value ~default:Nat.zero (KeyTbl.find_opt tbl [||])
-  in
-  match compute () with
+  match Jointree.count ~rows:(bag_rows ~tick ~emitted idx d) g.g_root d with
   | n ->
-      Metrics.add ghd_bag_rows !rows_seen;
+      Metrics.add ghd_bag_rows !emitted;
       n
-  | exception Unsat_const ->
-      Metrics.add ghd_bag_rows !rows_seen;
-      Nat.zero
   | exception e ->
-      Metrics.add ghd_bag_rows !rows_seen;
+      Metrics.add ghd_bag_rows !emitted;
       raise e
 
 (* ------------------------------ reporting ----------------------------- *)
@@ -644,12 +555,12 @@ let render g =
     lines :=
       Printf.sprintf "%sbag {%s}%s cover: %s | join: %s"
         (String.make (2 * depth) ' ')
-        (String.concat "," (Array.to_list b.b_chi))
+        (String.concat "," (bag_vars b))
         key
         (atom_list (bag_cover b))
         (atom_list (bag_atoms b))
       :: !lines;
-    List.iter (go (depth + 1)) b.b_children
+    List.iter (go (depth + 1)) (bag_children b)
   in
   go 0 g.g_root;
   List.rev !lines

@@ -31,8 +31,7 @@
     such components keep the backtracking kernel.
 
     Selected by {!Decomp.choose} for cyclic components and for components
-    whose inequalities pass {!supports_neqs} (the [BAGCQ_NO_WCOJ]
-    environment variable restores the backtracking fallback).  Observable
+    whose inequalities pass {!supports_neqs}.  Observable
     through the process-wide counters [wcoj_plans_compiled], [wcoj_runs]
     and [wcoj_seeks]. *)
 

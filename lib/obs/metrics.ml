@@ -102,8 +102,9 @@ type summary = {
 }
 
 (* Quantiles from a snapshot of the bucket counts: the upper edge of the
-   bucket containing rank ceil(q * count); the overflow bucket reports
-   the observed max (its upper edge is infinite). *)
+   bucket containing rank ceil(q * count), clamped to the observed max —
+   no observation exceeds it, so neither may a quantile (the overflow
+   bucket, whose edge is infinite, reports the max itself). *)
 let quantiles_of h qs =
   let counts = Array.map Atomic.get h.buckets in
   let count = Array.fold_left ( + ) 0 counts in
@@ -117,7 +118,7 @@ let quantiles_of h qs =
         Stdlib.incr i;
         cum := !cum + counts.(!i)
       done;
-      if !i >= Array.length h.bounds then max_ms else h.bounds.(!i)
+      if !i >= Array.length h.bounds then max_ms else Float.min h.bounds.(!i) max_ms
     end
   in
   (count, max_ms, List.map quantile qs)

@@ -79,10 +79,10 @@ val gauge_value : gauge -> int
     Fixed upper-bound buckets (milliseconds) plus an overflow bucket;
     each observation is two-three atomic adds (bucket, sum, max).
     Quantiles are read from a bucket snapshot: the reported p50/p95/p99
-    is the upper edge of the bucket holding that rank — within one
-    bucket of the exact order statistic by construction (the oracle
-    bound [test_obs.ml] checks) — and an overflow-bucket rank reports
-    the observed maximum. *)
+    is the upper edge of the bucket holding that rank, clamped to the
+    observed maximum — within one bucket of the exact order statistic by
+    construction (the oracle bound [test_obs.ml] checks) and never above
+    the max — and an overflow-bucket rank reports the maximum itself. *)
 
 type histogram
 

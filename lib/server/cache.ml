@@ -68,8 +68,15 @@ let intern_db t d =
       match Hashtbl.find_opt t.structures key with
       | Some d' -> d'
       | None ->
+          (* bounded by the result cap: a full table is dropped wholesale,
+             which costs later requests one re-intern (and index build)
+             each, never a wrong answer *)
+          if Hashtbl.length t.structures >= t.max_results then
+            Hashtbl.reset t.structures;
           Hashtbl.add t.structures key d;
           d)
+
+let interned t = locked t (fun () -> Hashtbl.length t.structures)
 
 let find_result t key =
   locked t (fun () ->
@@ -115,7 +122,8 @@ let store_result t key fields =
    name re-escaped the same way it was when the key was built). *)
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
-  let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
+  let rec same i j = j = nl || (hay.[i + j] = needle.[j] && same i (j + 1)) in
+  let rec at i = i + nl <= hl && (same i 0 || at (i + 1)) in
   nl = 0 || at 0
 
 let evict_db t ~name =

@@ -46,7 +46,12 @@ val intern_db : t -> Bagcq_relational.Structure.t -> Bagcq_relational.Structure.
     structure-keyed memos — the columnar join index living in the
     structure's memo slot, {!Bagcq_hom.Eval}'s per-structure count memo —
     survive across requests instead of being rebuilt for every eval of
-    the same database ([hom_index_builds] stays flat). *)
+    the same database ([hom_index_builds] stays flat).  The table holds
+    at most [max_results] structures: interning a new one into a full
+    table empties it first. *)
+
+val interned : t -> int
+(** Structures currently held by the intern table. *)
 
 val find_result : t -> string -> (string * Bagcq_wire.Json.t) list option
 (** Look up a canonical request key, bumping the hit/miss counters. *)

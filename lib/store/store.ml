@@ -4,24 +4,16 @@ module Nat = Bagcq_bignum.Nat
 module Budget = Bagcq_guard.Budget
 module Metrics = Bagcq_obs.Metrics
 module Decomp = Bagcq_hom.Decomp
-module Wcoj = Bagcq_hom.Wcoj
-module Ghd = Bagcq_hom.Ghd
-module Plan = Bagcq_hom.Plan
-module Solver = Bagcq_hom.Solver
+module Jointree = Bagcq_hom.Jointree
 
 (* How a registered count's component reacts to a tuple delta on one of its
    symbols: acyclic inequality-free components keep materialised join-tree
-   tables and fold the delta in ([Decomp.dp_delta]); everything else —
+   tables and fold the delta in ([Jointree.delta]); everything else —
    cyclic cores, components with inequalities, components whose constants
-   the database does not (yet) interpret — recomputes, but only this
-   component: the siblings' cached counts are reused through the factor
-   product. *)
-type recount =
-  | Rq_tree of Decomp.tree
-  | Rq_wcoj of Wcoj.plan
-  | Rq_ghd of Ghd.t
-  | Rq_plan of Plan.t
-type comp_plan = Maintained of Decomp.dp | Recount of recount
+   the database does not (yet) interpret — recounts under its strategy,
+   but only this component: the siblings' cached counts are reused through
+   the factor product. *)
+type comp_plan = Maintained of Jointree.state | Recount of Decomp.strategy
 
 type comp_state = {
   c_query : Query.t;
@@ -151,13 +143,6 @@ let total_of comps =
   in
   go Nat.one comps
 
-let recount ?budget how d =
-  match how with
-  | Rq_tree tr -> Decomp.count_tree ?budget tr d
-  | Rq_wcoj w -> Wcoj.count ?budget w d
-  | Rq_ghd g -> Ghd.count ?budget g d
-  | Rq_plan p -> Nat.of_int (Solver.count_plan ?budget p d)
-
 let build_comp ?budget d (q, mult) =
   let choice = Decomp.choose q in
   (* per-component registration is a cold plan site: the store keeps the
@@ -167,17 +152,13 @@ let build_comp ?budget d (q, mult) =
   let plan, count =
     match choice with
     | Decomp.Dp tr -> (
-        match Decomp.dp_build ?budget tr d with
-        | Some dp -> (Maintained dp, Decomp.dp_count dp)
+        match Jointree.maintain ?budget tr d with
+        | Some st -> (Maintained st, Jointree.total st)
         | None ->
             (* an uninterpreted constant: the count is zero but a later
                insert can auto-bind the constant, so stay recomputable *)
-            (Recount (Rq_tree tr), Nat.zero))
-    | Decomp.Wcoj w -> (Recount (Rq_wcoj w), Wcoj.count ?budget w d)
-    | Decomp.Ghd g -> (Recount (Rq_ghd g), Ghd.count ?budget g d)
-    | Decomp.Backtrack ->
-        let p = Plan.compile q in
-        (Recount (Rq_plan p), Nat.of_int (Solver.count_plan ?budget p d))
+            (Recount choice, Nat.zero))
+    | _ -> (Recount choice, Decomp.count ?budget q choice d)
   in
   { c_query = q; c_mult = mult; c_syms = query_syms q; c_plan = plan; c_count = count }
 
@@ -198,14 +179,13 @@ let rebuild ?budget t d r =
   r.r_stale <- false;
   Metrics.incr t.repairs
 
+let is_maintained c = match c.c_plan with Maintained _ -> true | Recount _ -> false
+
 let reg_info r =
   {
     reg_count = r.r_total;
     reg_components = List.length r.r_comps;
-    reg_maintained =
-      List.length
-        (List.filter (fun c -> match c.c_plan with Maintained _ -> true | _ -> false)
-           r.r_comps);
+    reg_maintained = List.length (List.filter is_maintained r.r_comps);
   }
 
 (* Fold one committed tuple delta into a registration.  Returns [true]
@@ -220,13 +200,13 @@ let apply_delta ?budget t d sym tup ~add r =
     (fun c ->
       if Symbol.Set.mem sym c.c_syms then
         match c.c_plan with
-        | Maintained dp ->
-            Decomp.dp_delta ?budget dp d sym tup ~add;
-            c.c_count <- Decomp.dp_count dp;
+        | Maintained st ->
+            Jointree.delta ?budget st d sym tup ~add;
+            c.c_count <- Jointree.total st;
             Metrics.incr t.delta_maintained
-        | Recount how ->
+        | Recount s ->
             recomputed := true;
-            c.c_count <- recount ?budget how d;
+            c.c_count <- Decomp.count ?budget c.c_query s d;
             Metrics.incr t.delta_recomputed)
     r.r_comps;
   r.r_total <- total_of r.r_comps;
@@ -356,10 +336,7 @@ let counts ?budget t ~name =
             {
               cr_query = r.r_key;
               cr_count = r.r_total;
-              cr_maintained =
-                List.for_all
-                  (fun c -> match c.c_plan with Maintained _ -> true | _ -> false)
-                  r.r_comps;
+              cr_maintained = List.for_all is_maintained r.r_comps;
             })
           (registrations_sorted db)
       with

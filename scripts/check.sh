@@ -13,6 +13,15 @@ cd "$(dirname "$0")/.."
 echo "== dune build @check (build + runtest) =="
 dune build @check
 
+# Routing and kernel choices are explicit arguments, never environment
+# variables read inside the library; BAGCQ_JOBS (a deployment setting,
+# read by the domain pool) is the one exception.
+echo "== no Sys.getenv in lib/ outside lib/parallel/pool.ml =="
+if grep -rn 'Sys\.getenv' lib --include='*.ml' --include='*.mli' | grep -v '^lib/parallel/pool\.ml:'; then
+  echo "Sys.getenv in lib/ outside lib/parallel/pool.ml (listed above)" >&2
+  exit 1
+fi
+
 # dune caches test results per binary, not per environment, so the two
 # jobs settings are exercised by running the parallel suite directly.
 for jobs in 1 2; do

@@ -3,7 +3,11 @@
    random width-≤2 cyclic queries (long cycles with chords, θ-patterns,
    two fused cycles, repeated variables, constants), both through the raw
    [Ghd.plan]/[Ghd.count] pair and through the full [Eval] pipeline;
-   plan-shape unit tests; budget trips mid-bag-materialisation. *)
+   plan-shape unit tests; budget trips mid-bag-materialisation.  Acyclic
+   queries run through both kinds of {!Jointree} node — atom trees
+   ([Decomp.count_tree], the store's maintained state) and bag trees
+   ([Ghd.count]) — and must agree with each other and the reference, with
+   the fuel spent by each pinned on fixed instances. *)
 
 open Bagcq_relational
 open Bagcq_cq
@@ -14,6 +18,7 @@ module Decomp = Bagcq_hom.Decomp
 module Budget = Bagcq_guard.Budget
 module Metrics = Bagcq_obs.Metrics
 module Nat = Bagcq_bignum.Nat
+module Store = Bagcq_store.Store
 
 let e = Build.sym "E" 2
 let u = Build.sym "U" 1
@@ -166,6 +171,124 @@ let global_counter name =
       else acc)
     0 (Metrics.rows Metrics.global)
 
+(* ------------------------------------------------------------------ *)
+(* Atom trees against bag trees                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A random tree of E edges (either direction) over x0..xk, decorated
+   with unary atoms, loops and constant endpoints — α-acyclic and
+   inequality-free, so [Decomp.choose] picks the join-tree DP. *)
+let random_acyclic st =
+  let k = 3 + Random.State.int st 3 in
+  let edges =
+    List.init k (fun i ->
+        let child = var (i + 1) and parent = var (Random.State.int st (i + 1)) in
+        if Random.State.bool st then Build.atom e [ parent; child ]
+        else Build.atom e [ child; parent ])
+  in
+  let extras =
+    List.init (Random.State.int st 3) (fun _ ->
+        let x = var (Random.State.int st (k + 1)) in
+        match Random.State.int st 3 with
+        | 0 -> Build.atom u [ x ]
+        | 1 -> Build.atom e [ x; Build.c "a" ]
+        | _ -> Build.atom e [ x; x ])
+  in
+  Build.query (edges @ extras)
+
+(* A mutation script: insert (or delete) one E or U fact over 0..3. *)
+let random_steps st =
+  List.init (Random.State.int st 12) (fun _ ->
+      let a = Value.int (Random.State.int st 4)
+      and b = Value.int (Random.State.int st 4) in
+      (Random.State.bool st, if Random.State.bool st then (e, [| a; b |]) else (u, [| a |])))
+
+let reference q d = Nat.of_int (Solver_ref.count q d)
+
+(* Replays the script against a store holding [d] with [q] registered
+   (a step that would be rejected — inserting a present fact, deleting an
+   absent one — is skipped), and returns the maintained count beside the
+   final database. *)
+let maintained q d steps =
+  let st = Store.create () in
+  let ok = function Store.Done x -> x | _ -> failwith "store op failed" in
+  ignore (ok (Store.db_create st ~name:"g" d));
+  ignore (ok (Store.register st ~name:"g" q));
+  List.iter
+    (fun (add, (sym, tup)) ->
+      let d, _ = ok (Store.snapshot st ~name:"g") in
+      if Structure.mem_atom d sym tup <> add then
+        ignore
+          (ok ((if add then Store.db_insert else Store.db_delete) st ~name:"g" sym tup)))
+    steps;
+  match ok (Store.counts st ~name:"g") with
+  | [ row ] -> (row.Store.cr_count, fst (ok (Store.snapshot st ~name:"g")))
+  | _ -> failwith "one registration expected"
+
+let prop_node_kinds_agree =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"atom trees = bag trees = maintained = reference"
+       ~count:400
+       (QCheck.make
+          ~print:(fun (q, d, _) -> pp_pair (q, d))
+          (fun st -> (random_acyclic st, random_db st, random_steps st)))
+       (fun (q, d, steps) ->
+         let q = Decomp.canonical q in
+         match (Decomp.choose q, Ghd.plan q) with
+         | Decomp.Dp t, Some g ->
+             let agree d =
+               let expected = reference q d in
+               Nat.equal (Decomp.count_tree t d) expected
+               && Nat.equal (Ghd.count g d) expected
+             in
+             let count, final = maintained q d steps in
+             agree d && agree final && Nat.equal count (reference q final)
+         | _ -> QCheck.assume_fail ()))
+
+(* The fixed instance the fuel pins are taken on: four vertices with
+   loops, U on every vertex, and E(i,j) unless i+j ∈ {2,5}. *)
+let pinned_db =
+  let d = ref (Structure.empty (Schema.make [ e; u ])) in
+  for i = 0 to 3 do
+    d := Structure.add_fact !d u [ Value.int i ];
+    for j = 0 to 3 do
+      if (i + j) mod 3 <> 2 then d := Structure.add_fact !d e [ Value.int i; Value.int j ]
+    done
+  done;
+  !d
+
+let pinned_path =
+  Decomp.canonical
+    Build.(
+      query
+        [ atom e [ v "a"; v "b" ]; atom e [ v "b"; v "c" ]; atom e [ v "c"; v "d" ]; atom u [ v "b" ] ])
+
+(* Fuel is part of the public contract (CLI [--fuel], wire budgets), so
+   the ticks each node kind spends — and the [ghd_bag_rows] it reports —
+   are pinned: one tick per atom node entered plus one per tuple scanned;
+   one per candidate tuple of a bag join or pre-projection. *)
+let test_pinned_ticks () =
+  (match Decomp.choose pinned_path with
+  | Decomp.Dp t ->
+      let b = Budget.create ~fuel:1_000_000 () in
+      Alcotest.(check string) "path count" "88"
+        (Nat.to_string (Decomp.count_tree ~budget:b t pinned_db));
+      Alcotest.(check int) "count_tree ticks" 41 (Budget.ticks b)
+  | _ -> Alcotest.fail "the path must route to the join-tree DP");
+  List.iter
+    (fun (name, q, count, ticks, rows) ->
+      match Ghd.plan q with
+      | None -> Alcotest.fail "no plan"
+      | Some g ->
+          let rows0 = global_counter "ghd_bag_rows" in
+          let b = Budget.create ~fuel:1_000_000 () in
+          Alcotest.(check string) (name ^ " count") count
+            (Nat.to_string (Ghd.count ~budget:b g pinned_db));
+          Alcotest.(check int) (name ^ " ticks") ticks (Budget.ticks b);
+          Alcotest.(check int) (name ^ " bag rows") rows
+            (global_counter "ghd_bag_rows" - rows0))
+    [ ("path", pinned_path, "88", 44, 33); ("6-cycle", six_cycle, "554", 202, 150) ]
+
 let test_metrics_family () =
   let plans0 = global_counter "ghd_plans_built" in
   let runs0 = global_counter "ghd_runs" in
@@ -242,12 +365,14 @@ let () =
             (random_long_cycle ~len:7);
           prop "fused cycle pairs = reference" ~count:600 random_fused_cycles;
           prop "θ-patterns = reference" ~count:600 random_theta;
+          prop_node_kinds_agree;
         ] );
       ( "unit",
         [
           Alcotest.test_case "plan shape" `Quick test_plan_shape;
           Alcotest.test_case "pinned counts" `Quick test_pinned_counts;
           Alcotest.test_case "ghd_* metrics family" `Quick test_metrics_family;
+          Alcotest.test_case "pinned fuel of both node kinds" `Quick test_pinned_ticks;
           Alcotest.test_case "fuel trips mid-bag-materialisation" `Quick
             test_fuel_trips_mid_bag;
           Alcotest.test_case "deadline reason preserved" `Quick

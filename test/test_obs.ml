@@ -1,9 +1,10 @@
 (* lib/obs: the lock-free metrics registry and the tracing spans.  The
    two properties every other layer leans on: counters lose no
    increments under any number of domains (Atomic.fetch_and_add), and a
-   histogram quantile is always the upper edge of the bucket holding the
-   exact order statistic — within one bucket of a sorted-array oracle,
-   overflow excepted (there it reports the observed max). *)
+   histogram quantile is the upper edge of the bucket holding the exact
+   order statistic clamped to the observed max — within one bucket of a
+   sorted-array oracle, never above the max, overflow reporting the max
+   itself. *)
 
 module Metrics = Bagcq_obs.Metrics
 module Trace = Bagcq_obs.Trace
@@ -82,8 +83,21 @@ let quantile_within_one_bucket =
            let max_obs = List.fold_left Float.max 0. obs in
            Float.abs (reported -. max_obs) <= 1e-5
          else
-           (* exactly the upper edge of the oracle's bucket *)
-           reported = bounds.(bucket_of oracle)))
+           (* the upper edge of the oracle's bucket, clamped to the
+              observed max (to the ns the histogram stores) *)
+           let max_obs = List.fold_left Float.max 0. obs in
+           Float.abs (reported -. Float.min bounds.(bucket_of oracle) max_obs)
+           <= 1e-5))
+
+let quantiles_ordered =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"histogram p50 <= p99 <= max" ~count:300
+       QCheck.(list_of_size Gen.(0 -- 120) (float_bound_inclusive 20000.))
+       (fun obs ->
+         let h = Metrics.fresh_histogram () in
+         List.iter (Metrics.observe_ms h) obs;
+         let s = Metrics.summary h in
+         s.Metrics.p50_ms <= s.Metrics.p99_ms && s.Metrics.p99_ms <= s.Metrics.max_ms))
 
 let test_summary_shape () =
   let h = Metrics.fresh_histogram () in
@@ -94,6 +108,11 @@ let test_summary_shape () =
   (* rank ceil(0.5*5)=3 -> third smallest is 4.0, whose bucket edge is 5 *)
   Alcotest.(check (float 1e-9)) "p50 is a bucket edge" 5. s.Metrics.p50_ms;
   Alcotest.(check (float 1e-4)) "max observed" 7000. s.Metrics.max_ms;
+  (* a quantile never exceeds the max: 1.98 sits in the bucket whose
+     edge is 2.5, and p50 reports 1.98 *)
+  let one = Metrics.fresh_histogram () in
+  Metrics.observe_ms one 1.98;
+  Alcotest.(check (float 1e-6)) "p50 clamped to max" 1.98 (Metrics.summary one).Metrics.p50_ms;
   let empty = Metrics.summary (Metrics.fresh_histogram ()) in
   Alcotest.(check int) "empty count" 0 empty.Metrics.count;
   Alcotest.(check (float 0.)) "empty quantile" 0. empty.Metrics.p99_ms
@@ -203,6 +222,7 @@ let () =
           counters_exact_under_domains;
           gauge_balanced_under_domains;
           quantile_within_one_bucket;
+          quantiles_ordered;
           Alcotest.test_case "summary shape" `Quick test_summary_shape;
           Alcotest.test_case "registry identity + kinds" `Quick
             test_registry_identity;

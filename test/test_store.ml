@@ -246,7 +246,33 @@ let test_cache_evict_db () =
     (Option.is_some (Cache.find_result c (key_for "other")));
   (* a name that is a substring of another must not match its entries *)
   Alcotest.(check int) "prefix name does not cross-evict" 0
-    (Cache.evict_db c ~name:"oth")
+    (Cache.evict_db c ~name:"oth");
+  (* a name that is a prefix of another: "g" must leave "gg" alone *)
+  Cache.store_result c (key_for "gg") [ ("k", Json.Int 4) ];
+  Cache.store_result c (key_for "g") [ ("k", Json.Int 5) ];
+  Alcotest.(check int) "g drops only its own entry" 1 (Cache.evict_db c ~name:"g");
+  Alcotest.(check bool) "gg untouched" true
+    (Option.is_some (Cache.find_result c (key_for "gg")));
+  (* a name that needs JSON escaping matches in its escaped form *)
+  let odd = "q\"u\\o\nte" in
+  Cache.store_result c (key_for odd) [ ("k", Json.Int 6) ];
+  Alcotest.(check int) "escaped name evicted" 1 (Cache.evict_db c ~name:odd);
+  Alcotest.(check int) "nothing left under it" 0 (Cache.evict_db c ~name:odd)
+
+let test_cache_intern_bounded () =
+  let c = Cache.create ~max_results:4 () in
+  let db i =
+    Structure.add_fact (Structure.empty Schema.empty) sym_e
+      [ Value.int i; Value.int (i + 1) ]
+  in
+  for i = 1 to 10 do
+    ignore (Cache.intern_db c (db i));
+    Alcotest.(check bool) "table within the cap" true (Cache.interned c <= 4)
+  done;
+  for i = 1 to 10 do
+    Alcotest.(check bool) "repeat interns to an equal structure" true
+      (Structure.equal_atoms (Cache.intern_db c (db i)) (db i))
+  done
 
 (* ------------------------------------------------------------------ *)
 (* router integration: eval by name, invalidation, index rebuilds      *)
@@ -428,6 +454,7 @@ let () =
         [
           Alcotest.test_case "lru cap" `Quick test_cache_lru;
           Alcotest.test_case "evict by database" `Quick test_cache_evict_db;
+          Alcotest.test_case "intern table bounded" `Quick test_cache_intern_bounded;
         ] );
       ( "router",
         [

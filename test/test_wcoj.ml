@@ -1,13 +1,8 @@
 (* The worst-case-optimal leapfrog kernel: differential checking against
    the reference solver on random cyclic CQs (triangles, 4/5-cycles with
    chords, CYCLIQ rotations), inequality filters, classification,
-   fuel-trip semantics (Exhausted must surface mid-intersection), kernel
-   metrics, and the BAGCQ_NO_WCOJ / BAGCQ_NO_GHD escape hatches.
-
-   [Unix.putenv] cannot remove a variable from the environment, but
-   [Decomp.choose] reads the hatches per call and treats [""] and ["0"]
-   as unset, so the hatch tests restore the default by overwriting with
-   ["0"] and may run in any order. *)
+   fuel-trip semantics (Exhausted must surface mid-intersection) and
+   kernel metrics. *)
 
 open Bagcq_relational
 open Bagcq_cq
@@ -258,58 +253,6 @@ let test_deadline_reason_preserved () =
   | Error Budget.Fuel -> Alcotest.fail "wrong trip reason"
   | Ok _ -> Alcotest.fail "fault injection must trip"
 
-let six_cycle =
-  Build.(query (cycle e (List.init 6 (fun i -> v (Printf.sprintf "x%d" i)))))
-
-let neq_triangle =
-  Build.(
-    query
-      ~neqs:[ (v "x", v "z") ]
-      [ atom e [ v "x"; v "y" ]; atom e [ v "y"; v "z" ]; atom e [ v "z"; v "x" ] ])
-
-(* [Decomp.choose] reads the hatch per call, so toggling it back to "0"
-   restores the default — these tests may run in any order. *)
-let test_wcoj_escape_hatch () =
-  (match Decomp.choose (Decomp.canonical triangle) with
-  | Decomp.Wcoj _ -> ()
-  | _ -> Alcotest.fail "triangle must pick wcoj before the hatch");
-  Unix.putenv "BAGCQ_NO_WCOJ" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "BAGCQ_NO_WCOJ" "0")
-    (fun () ->
-      (match Decomp.choose (Decomp.canonical triangle) with
-      | Decomp.Backtrack -> ()
-      | _ -> Alcotest.fail "BAGCQ_NO_WCOJ must restore backtracking");
-      (* the hatch also disables inequality filtering and the GHD *)
-      (match Decomp.choose (Decomp.canonical neq_triangle) with
-      | Decomp.Backtrack -> ()
-      | _ -> Alcotest.fail "BAGCQ_NO_WCOJ must disable ≠ filtering too");
-      (match Decomp.choose (Decomp.canonical six_cycle) with
-      | Decomp.Backtrack -> ()
-      | _ -> Alcotest.fail "BAGCQ_NO_WCOJ must disable the GHD too");
-      (* both routes agree on the count *)
-      let d = complete_digraph 3 in
-      Alcotest.(check string) "counts agree under the hatch" "27"
-        (Nat.to_string (Eval.count triangle d)));
-  match Decomp.choose (Decomp.canonical triangle) with
-  | Decomp.Wcoj _ -> ()
-  | _ -> Alcotest.fail "overwriting the hatch with \"0\" must restore wcoj"
-
-let test_ghd_escape_hatch () =
-  (match Decomp.choose (Decomp.canonical six_cycle) with
-  | Decomp.Ghd _ -> ()
-  | _ -> Alcotest.fail "a 6-cycle must pick the hypertree decomposition");
-  Unix.putenv "BAGCQ_NO_GHD" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "BAGCQ_NO_GHD" "0")
-    (fun () ->
-      match Decomp.choose (Decomp.canonical six_cycle) with
-      | Decomp.Wcoj _ -> ()
-      | _ -> Alcotest.fail "BAGCQ_NO_GHD must pin the leapfrog kernel");
-  match Decomp.choose (Decomp.canonical six_cycle) with
-  | Decomp.Ghd _ -> ()
-  | _ -> Alcotest.fail "overwriting the hatch with \"0\" must restore the GHD"
-
 let () =
   Alcotest.run "wcoj"
     [
@@ -328,12 +271,6 @@ let () =
           Alcotest.test_case "pinned counts" `Quick test_pinned_counts;
           Alcotest.test_case "variable order is deterministic" `Quick
             test_variable_order_is_deterministic;
-          (* deliberately before the metrics/fuel cases: the hatches must
-             leave no trace behind *)
-          Alcotest.test_case "BAGCQ_NO_WCOJ escape hatch" `Quick
-            test_wcoj_escape_hatch;
-          Alcotest.test_case "BAGCQ_NO_GHD escape hatch" `Quick
-            test_ghd_escape_hatch;
           Alcotest.test_case "wcoj_* metrics family" `Quick test_metrics_family;
           Alcotest.test_case "fuel trips mid-intersection" `Quick
             test_fuel_trips_mid_intersection;
