@@ -190,16 +190,15 @@ let record_choice = function
   | Ghd _ -> Metrics.incr ghd_selected
   | Backtrack -> Metrics.incr fallback_selected
 
-(* Atom nodes read the relation through the columnar index, which every
-   other kernel of the evaluation shares: one tick per node entered, one
-   per tuple considered. *)
+(* Atom nodes read the relation's code rows from the columnar index,
+   which every other kernel of the evaluation shares: one tick per node
+   entered, one per tuple considered. *)
 let count_tree ?budget (t : tree) d =
   let tick = Jointree.ticker budget in
   let idx = Index.get d in
   Jointree.count
-    ~rows:(fun a ->
-      Jointree.relation ~tick (fun s -> Index.all (Index.sym_index idx s)) (Atom.sym a))
-    t d
+    ~rows:(fun a -> Jointree.relation ~tick (Index.code_rows (Index.sym_index idx (Atom.sym a))))
+    idx t d
 
 let count ?budget q s d =
   match s with

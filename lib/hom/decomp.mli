@@ -83,8 +83,8 @@ val record_choice : strategy -> unit
 val count_tree :
   ?budget:Bagcq_guard.Budget.t -> tree -> Bagcq_relational.Structure.t -> Nat.t
 (** Counts homomorphisms of an acyclic component by the {!Jointree} pass
-    over the relations' tuples — O(Σ_nodes tuples·arity), never
-    exponential.  With [?budget] every tuple considered ticks once per
+    over the relations' code rows ({!Index.code_rows}) —
+    O(Σ_nodes tuples·arity), never exponential.  With [?budget] every tuple considered ticks once per
     node (plus one tick per node entered), and the call unwinds with
     {!Bagcq_guard.Budget.Exhausted_} on a trip. *)
 

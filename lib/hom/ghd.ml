@@ -21,13 +21,15 @@ let ghd_bag_rows = Metrics.counter Metrics.global "ghd_bag_rows"
    materialises — λ(B) plus every query atom assigned to this bag — in the
    backtracking join order [bagcq explain] reports, compiled into [steps]
    over a frame of [nvars] slots (χ first, then the cover's extension
-   variables). *)
+   variables).  [distinct] holds when the join can never emit one
+   χ-projection twice, so the materialisation needs no seen-set. *)
 type join = {
   chi : string array;
   cover : Atom.t array;
   atoms : Atom.t array;
   steps : step array;
   nvars : int;
+  distinct : bool;
 }
 
 (* One atom of a bag join.  [probe] is the first position fixed before the
@@ -282,7 +284,24 @@ let compile_join chi cover atoms =
     let private_pos = if probe = None && Array.exists Fun.id priv then Some priv else None in
     { sym = Atom.sym a; pat; probe; private_pos }
   in
-  { chi; cover; atoms; steps = Array.map2 step atoms pats; nvars = Array.length frame }
+  let steps = Array.map2 step atoms pats in
+  (* Distinct candidate rows that pass an atom's ops differ at a bound
+     position, so distinct join paths end in distinct frames.  When every
+     slot outside χ is bound only at a deduplicated private position —
+     always blank — distinct frames have distinct χ-projections. *)
+  let nvars = Array.length frame and nchi = Array.length chi in
+  let blanked = Array.make nvars false in
+  Array.iter
+    (fun s ->
+      Option.iter
+        (Array.iteri (fun p priv ->
+             match s.pat.ops.(p) with
+             | Jointree.Op_bind j when priv -> blanked.(j) <- true
+             | _ -> ()))
+        s.private_pos)
+    steps;
+  let distinct = Array.for_all Fun.id (Array.sub blanked nchi (nvars - nchi)) in
+  { chi; cover; atoms; steps; nvars; distinct }
 
 let plan (q : Query.t) : t option =
   if Query.has_neqs q then None
@@ -463,63 +482,83 @@ let plan (q : Query.t) : t option =
 
 (* ------------------------------ counting ------------------------------ *)
 
-let blank = Value.int 0
-
 (* A bag's row source: the *distinct* projections onto χ(B) of the join of
-   its atoms — a backtracking join over [Index] probes, duplicates folded
-   by the seen-set because a bag row asserts only the *existence* of an
-   extension.  Opening the source interprets the constants and runs the
-   pre-projections (ticking), before the bag's children are evaluated; the
-   join itself runs during the bag's scan.  One budget tick per candidate
-   tuple keeps fuel semantics: a fuel-limited run trips
+   its atoms — a backtracking join over code rows and per-position code
+   groups of the [Index], duplicates folded by a seen-set (unless the plan
+   proved there are none) because a bag row asserts only the *existence*
+   of an extension.  Opening the source interprets the constants and runs
+   the pre-projections (ticking), before the bag's children are
+   evaluated; the join itself runs during the bag's scan, handing the
+   scan its frame, whose first |χ| slots are the row.  One budget tick per
+   candidate tuple keeps fuel semantics: a fuel-limited run trips
    mid-materialisation. *)
 let bag_rows ~tick ~emitted idx d (j : join) =
-  let ops = Array.map (fun s -> Jointree.resolve d s.pat) j.steps in
+  let bits = Jointree.Key.bits_for (Array.length (Index.domain idx)) in
+  let ops = Array.map (fun s -> Jointree.resolve (Jointree.index_code idx) d s.pat) j.steps in
   let candidates s ops =
     let si = Index.sym_index idx s.sym in
     match (s.probe, s.private_pos) with
     | Some p, _ -> (
+        let groups = Index.code_groups si ~pos:p in
+        let group c = if c >= 0 && c < Array.length groups then groups.(c) else [||] in
         match ops.(p) with
-        | Jointree.Op_cst v ->
-            let ts = Index.candidates si ~pos:p v in
-            fun _ -> ts
-        | Op_check i | Op_bind i -> fun env -> Index.candidates si ~pos:p env.(i))
-    | None, None -> fun _ -> Index.all si
+        | Jointree.Op_cst c ->
+            let rows = group c in
+            fun _ -> rows
+        | Op_check i | Op_bind i -> fun env -> group env.(i))
+    | None, None ->
+        let rows = Index.code_rows si in
+        fun _ -> rows
     | None, Some priv ->
-        (* first occurrences, in index order *)
+        (* first occurrences, in index order, private positions blanked *)
+        let kept =
+          Array.of_list (List.filter (fun p -> not priv.(p)) (List.init (Array.length priv) Fun.id))
+        in
+        let key = Jointree.Key.create ~bits in
         let dedup = Jointree.KeyTbl.create 64 in
-        let fresh (tup : Tuple.t) =
+        let fresh (row : int array) =
           tick ();
-          let norm = Array.mapi (fun p v -> if priv.(p) then blank else v) tup in
-          if Jointree.KeyTbl.mem dedup norm then None
+          let k = Jointree.Key.pack key kept row in
+          if Jointree.KeyTbl.mem dedup k then None
           else begin
-            Jointree.KeyTbl.add dedup norm ();
-            Some norm
+            Jointree.KeyTbl.add dedup k ();
+            Some (Array.mapi (fun p c -> if priv.(p) then Jointree.no_code else c) row)
           end
         in
-        let ts = Array.of_list (List.filter_map fresh (Array.to_list (Index.all si))) in
-        fun _ -> ts
+        let rows = Array.of_list (List.filter_map fresh (Array.to_list (Index.code_rows si))) in
+        fun _ -> rows
   in
   let candidates = Array.map2 candidates j.steps ops in
+  let chi = Array.init (Array.length j.chi) Fun.id in
   fun emit ->
-    let nchi = Array.length j.chi in
-    let env = Array.make (max 1 j.nvars) blank in
-    let seen = Jointree.KeyTbl.create 64 in
+    let env = Array.make (max 1 j.nvars) Jointree.no_code in
+    let fresh =
+      if j.distinct then fun () -> true
+      else begin
+        let key = Jointree.Key.create ~bits in
+        let seen = Jointree.KeyTbl.create 64 in
+        fun () ->
+          let k = Jointree.Key.pack key chi env in
+          (not (Jointree.KeyTbl.mem seen k))
+          && begin
+               Jointree.KeyTbl.add seen k ();
+               true
+             end
+      end
+    in
     let rec join s =
       if s = Array.length ops then begin
-        let row = Array.sub env 0 nchi in
-        if not (Jointree.KeyTbl.mem seen row) then begin
-          Jointree.KeyTbl.add seen row ();
+        if fresh () then begin
           incr emitted;
-          emit row
+          emit env
         end
       end
       else
-        Array.iter
-          (fun (tup : Tuple.t) ->
-            tick ();
-            if Jointree.matches ops.(s) env tup then join (s + 1))
-          (candidates.(s) env)
+        let rows = candidates.(s) env in
+        for r = 0 to Array.length rows - 1 do
+          tick ();
+          if Jointree.matches ops.(s) env rows.(r) then join (s + 1)
+        done
     in
     join 0
 
@@ -531,13 +570,9 @@ let count ?budget (g : t) d =
   let emitted = ref 0 in
   let tick = Jointree.ticker budget in
   let idx = Index.get d in
-  match Jointree.count ~rows:(bag_rows ~tick ~emitted idx d) g.g_root d with
-  | n ->
-      Metrics.add ghd_bag_rows !emitted;
-      n
-  | exception e ->
-      Metrics.add ghd_bag_rows !emitted;
-      raise e
+  Fun.protect
+    ~finally:(fun () -> Metrics.add ghd_bag_rows !emitted)
+    (fun () -> Jointree.count ~rows:(bag_rows ~tick ~emitted idx d) idx g.g_root d)
 
 (* ------------------------------ reporting ----------------------------- *)
 

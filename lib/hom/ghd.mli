@@ -6,7 +6,7 @@
     form a tree in which every variable's bags are connected (the
     running-intersection property), and every query atom fits inside some
     bag.  Materialising each bag — the distinct projections onto [χ(B)] of
-    the join of its atoms — and running the join-tree bignum DP over the
+    the join of its atoms — and running the join-tree DP over the
     bag relations then counts homomorphisms in time polynomial in the bag
     sizes, where the leapfrog kernel on the flat query can degrade toward
     its worst case ([AGM] bound) on large relation intersections.
@@ -43,10 +43,12 @@ val width : t -> int
 val nbags : t -> int
 
 val count : ?budget:Budget.t -> t -> Structure.t -> Nat.t
-(** [|Hom(component, D)|] by bag materialisation + join-tree DP.  An
-    uninterpreted constant yields zero (no homomorphism can exist).  One
-    budget tick per candidate tuple during bag materialisation, so fuel
-    trips mid-bag; bumps [ghd_runs] and [ghd_bag_rows]. *)
+(** [|Hom(component, D)|] by bag materialisation over {!Index} codes +
+    join-tree DP.  An uninterpreted constant yields zero (no homomorphism
+    can exist).  One budget tick per candidate tuple during bag
+    materialisation, so fuel trips mid-bag; bumps [ghd_runs] and
+    [ghd_bag_rows] (the rows materialised, counted again when an int
+    overflow reruns the pass on [Nat]). *)
 
 (** {2 Reporting} — the decomposition shape, for [bagcq explain]. *)
 

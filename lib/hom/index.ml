@@ -12,22 +12,27 @@ end)
 let index_builds =
   Bagcq_obs.Metrics.counter Bagcq_obs.Metrics.global "hom_index_builds"
 
-(* One relation, stored column-major over interned codes.  [tuples] is the
-   sorted row store; [cols.(pos).(row)] is the code of the value at
-   [pos] — codes are indexes into the structure's sorted domain, so code
-   order is [Value.compare] order and every column is a sorted-int problem.
-   [by_pos.(pos).(code)] packs the rows holding [code] at [pos] (row order,
-   hence [Tuple.compare] order).  [views] memoises the re-sorted trie views
-   handed to the leapfrog kernel, keyed by attribute order; the table is
-   mutated under [views_lock] because one structure (and hence one index)
-   is shared across worker domains. *)
+(* One relation, stored row- and column-major over interned codes.
+   [tuples] is the sorted row store and [rows.(row)] the same tuple as
+   codes — codes are indexes into the structure's sorted domain, so code
+   order is [Value.compare] order; [cols.(pos).(row)] is the code of the
+   value at [pos], so every column is a sorted-int problem.
+   [by_pos.(pos).(code)] packs the tuples holding [code] at [pos] (row
+   order, hence [Tuple.compare] order); [groups.(pos)] is the same
+   grouping over code rows, built on the first probe of that position.
+   [views] memoises the re-sorted trie views handed to the leapfrog
+   kernel, keyed by attribute order.  [groups] and [views] are mutated
+   under [lock] because one structure (and hence one index) is shared
+   across worker domains. *)
 type sym_index = {
   tuples : Tuple.t array;
+  rows : int array array;
   cols : int array array;
   by_pos : Tuple.t array array array;
   code_of : int ValueTbl.t;  (* shared with the owning [t] *)
+  groups : int array array array option array;
   views : (int array, int array array) Hashtbl.t;
-  views_lock : Mutex.t;
+  lock : Mutex.t;
 }
 
 type t = {
@@ -41,46 +46,46 @@ let no_tuples : Tuple.t array = [||]
 let empty_sym_index arity =
   {
     tuples = no_tuples;
+    rows = [||];
     cols = Array.make arity [||];
     by_pos = Array.make arity [||];
     code_of = ValueTbl.create 1;
+    groups = Array.make arity None;
     views = Hashtbl.create 1;
-    views_lock = Mutex.create ();
+    lock = Mutex.create ();
   }
+
+(* [group col elts] buckets [elts] by their code in [col] (same length):
+   [(group col elts).(c)] holds, in order, the elements whose code is [c]. *)
+let group col (elts : 'a array) : 'a array array =
+  let top = Array.fold_left max (-1) col in
+  let counts = Array.make (top + 1) 0 in
+  Array.iter (fun c -> counts.(c) <- counts.(c) + 1) col;
+  let groups =
+    Array.init (top + 1) (fun c ->
+        if counts.(c) = 0 then [||] else Array.make counts.(c) elts.(0))
+  in
+  let fill = Array.make (top + 1) 0 in
+  Array.iteri
+    (fun row c ->
+      groups.(c).(fill.(c)) <- elts.(row);
+      fill.(c) <- fill.(c) + 1)
+    col;
+  groups
 
 let build_sym_index code_of sym tuples =
   let arity = Symbol.arity sym in
-  let n = Array.length tuples in
-  let cols =
-    Array.init arity (fun pos ->
-        Array.init n (fun row -> ValueTbl.find code_of tuples.(row).(pos)))
-  in
-  let by_pos =
-    Array.init arity (fun pos ->
-        let col = cols.(pos) in
-        let top = Array.fold_left max (-1) col in
-        let counts = Array.make (top + 1) 0 in
-        Array.iter (fun c -> counts.(c) <- counts.(c) + 1) col;
-        let groups =
-          Array.init (top + 1) (fun c ->
-              if counts.(c) = 0 then no_tuples
-              else Array.make counts.(c) tuples.(0))
-        in
-        let fill = Array.make (top + 1) 0 in
-        for row = 0 to n - 1 do
-          let c = col.(row) in
-          groups.(c).(fill.(c)) <- tuples.(row);
-          fill.(c) <- fill.(c) + 1
-        done;
-        groups)
-  in
+  let rows = Array.map (Array.map (ValueTbl.find code_of)) tuples in
+  let cols = Array.init arity (fun pos -> Array.map (fun r -> r.(pos)) rows) in
   {
     tuples;
+    rows;
     cols;
-    by_pos;
+    by_pos = Array.map (fun col -> group col tuples) cols;
     code_of;
+    groups = Array.make arity None;
     views = Hashtbl.create 4;
-    views_lock = Mutex.create ();
+    lock = Mutex.create ();
   }
 
 let build d =
@@ -118,6 +123,7 @@ let sym_index idx sym =
 let domain idx = idx.domain
 let code idx v = ValueTbl.find_opt idx.code_of v
 let all si = si.tuples
+let code_rows si = si.rows
 
 let candidates (si : sym_index) ~pos v =
   match ValueTbl.find_opt si.code_of v with
@@ -159,24 +165,23 @@ let build_view si (order : int array) =
       let col = si.cols.(order.(l)) in
       Array.init n (fun r -> col.(rows.(r))))
 
+(* Lazily built parts are built under the lock: each is built once per
+   relation and racing builders would only duplicate work, but the tables
+   themselves must not be mutated concurrently. *)
 let view si (order : int array) =
-  Mutex.lock si.views_lock;
-  match Hashtbl.find_opt si.views order with
-  | Some v ->
-      Mutex.unlock si.views_lock;
-      v
-  | None ->
-      (* Build under the lock: views are built once per (relation, order)
-         and racing builders would only duplicate work, but the Hashtbl
-         itself must not be mutated concurrently. *)
-      let v =
-        match build_view si order with
-        | v ->
-            Hashtbl.replace si.views (Array.copy order) v;
-            v
-        | exception e ->
-            Mutex.unlock si.views_lock;
-            raise e
-      in
-      Mutex.unlock si.views_lock;
-      v
+  Mutex.protect si.lock (fun () ->
+      match Hashtbl.find_opt si.views order with
+      | Some v -> v
+      | None ->
+          let v = build_view si order in
+          Hashtbl.replace si.views (Array.copy order) v;
+          v)
+
+let code_groups si ~pos =
+  Mutex.protect si.lock (fun () ->
+      match si.groups.(pos) with
+      | Some g -> g
+      | None ->
+          let g = group si.cols.(pos) si.rows in
+          si.groups.(pos) <- Some g;
+          g)

@@ -10,17 +10,17 @@
     membership interface; the leapfrog kernel ({!Wcoj}) asks for {!view}s —
     the relation re-sorted under an attribute order, exposed as per-level
     code arrays it can intersect with binary search; and the join-tree DP
-    scans {!all}.
+    scans {!code_rows} and probes {!code_groups}.
 
     The index is memoised on the structure itself (through
     {!Structure.memo_store}), so it is built at most once per structure no
     matter how many queries are evaluated against it — the process-wide
     [hom_index_builds] counter counts actual builds, which is how the
     server's dedup regression test tells a memo hit from a rebuild.
-    Structures are immutable, hence so is the index; the lazily-built view
-    table inside each relation is the one mutable part and is guarded by a
-    mutex, because structures (and their memoised index) are shared across
-    worker domains. *)
+    Structures are immutable, hence so is the index; the lazily-built views
+    and code groups inside each relation are the mutable part and are
+    guarded by a mutex, because structures (and their memoised index) are
+    shared across worker domains. *)
 
 open Bagcq_relational
 
@@ -51,6 +51,15 @@ val code : t -> Value.t -> int option
 
 val all : sym_index -> Tuple.t array
 (** Every tuple of the symbol, in {!Tuple.compare} order. *)
+
+val code_rows : sym_index -> int array array
+(** {!all} as codes: [(code_rows si).(r).(p)] is the code of
+    [(all si).(r).(p)].  Shared — do not mutate. *)
+
+val code_groups : sym_index -> pos:int -> int array array array
+(** [(code_groups si ~pos).(c)] holds the {!code_rows} with code [c] at
+    [pos], in row order; codes past the end of the array have none.
+    Memoised per [(relation, pos)] on first use; shared — do not mutate. *)
 
 val candidates : sym_index -> pos:int -> Value.t -> Tuple.t array
 (** The tuples holding the given element at position [pos], in

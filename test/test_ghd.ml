@@ -7,7 +7,9 @@
    queries run through both kinds of {!Jointree} node — atom trees
    ([Decomp.count_tree], the store's maintained state) and bag trees
    ([Ghd.count]) — and must agree with each other and the reference, with
-   the fuel spent by each pinned on fixed instances. *)
+   the fuel spent by each pinned on fixed instances.  Counts past 2^62
+   are checked against closed forms (int weights promote to [Nat]), and
+   one shared index is read by two domains at once. *)
 
 open Bagcq_relational
 open Bagcq_cq
@@ -19,6 +21,8 @@ module Budget = Bagcq_guard.Budget
 module Metrics = Bagcq_obs.Metrics
 module Nat = Bagcq_bignum.Nat
 module Store = Bagcq_store.Store
+module Index = Bagcq_hom.Index
+module Jointree = Bagcq_hom.Jointree
 
 let e = Build.sym "E" 2
 let u = Build.sym "U" 1
@@ -117,6 +121,45 @@ let agrees (q, d) =
 
 let prop name ~count mk =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count (gen mk) agrees)
+
+(* Bags whose join can emit one χ-projection twice: a cover atom reaches a
+   variable outside χ(B) through a probe, so the rows must be folded by the
+   bag's seen-set.  (The families above always plan duplicate-free bags.) *)
+let t3 = Build.sym "T" 3
+
+let seen_set_queries =
+  [
+    "E(x4,x3) & T(x1,x5,x3) & T(x5,x2,x0)";
+    "E(x5,x3) & T(x3,x2,x0) & T(x5,x1,x5)";
+    "T(x0,x4,x2) & T(x1,x4,x5) & T(x4,x2,x0)";
+    "E(x4,x4) & T(x0,x2,x3) & T(x3,x1,x5) & T(x5,x5,x4)";
+  ]
+
+let random_db_with_t st =
+  let d = random_db st in
+  let n = 1 + Random.State.int st 4 in
+  let v () = Value.int (Random.State.int st n) in
+  let d = ref d in
+  for _ = 1 to Random.State.int st 24 do
+    d := Structure.add_fact !d t3 [ v (); v (); v () ]
+  done;
+  !d
+
+let test_seen_set () =
+  let st = Random.State.make [| 17 |] in
+  List.iter
+    (fun text ->
+      let q = Parse.parse_exn text in
+      let g =
+        match Ghd.plan q with Some g -> g | None -> Alcotest.failf "no plan for %s" text
+      in
+      for _ = 1 to 60 do
+        let d = random_db_with_t st in
+        Alcotest.(check string) text
+          (string_of_int (Solver_ref.count q d))
+          (Nat.to_string (Ghd.count g d))
+      done)
+    seen_set_queries
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests                                                          *)
@@ -289,6 +332,212 @@ let test_pinned_ticks () =
             (global_counter "ghd_bag_rows" - rows0))
     [ ("path", pinned_path, "88", 44, 33); ("6-cycle", six_cycle, "554", 202, 150) ]
 
+(* ------------------------------------------------------------------ *)
+(* Constants on codes                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The constant [a] interpreted inside the active domain, outside it (as
+   7, which only a later insert brings into the data), or not at all. *)
+let random_db_with_const st =
+  let n = 1 + Random.State.int st 4 in
+  let d = ref (Structure.empty (Schema.make [ e; u ])) in
+  for _ = 1 to Random.State.int st 13 do
+    d :=
+      Structure.add_fact !d e
+        [ Value.int (Random.State.int st n); Value.int (Random.State.int st n) ]
+  done;
+  for _ = 1 to Random.State.int st 4 do
+    d := Structure.add_fact !d u [ Value.int (Random.State.int st n) ]
+  done;
+  let inside = Value.Set.elements (Structure.domain !d) in
+  match Random.State.int st 3 with
+  | 0 when inside <> [] ->
+      Structure.bind_constant !d "a"
+        (List.nth inside (Random.State.int st (List.length inside)))
+  | 0 | 1 -> Structure.bind_constant !d "a" (Value.int 7)
+  | _ -> !d
+
+(* {!random_acyclic} plus one or two atoms on [a]: [E(a, x)] puts the
+   constant at the probe position of a bag join, [E(x, a)] and [U(a)]
+   after it. *)
+let random_acyclic_with_const st =
+  let base = Query.atoms (random_acyclic st) in
+  let extras =
+    List.init
+      (1 + Random.State.int st 2)
+      (fun _ ->
+        let x = var (Random.State.int st 4) in
+        match Random.State.int st 3 with
+        | 0 -> Build.atom e [ Build.c "a"; x ]
+        | 1 -> Build.atom e [ x; Build.c "a" ]
+        | _ -> Build.atom u [ Build.c "a" ])
+  in
+  Build.query (base @ extras)
+
+(* Like {!random_steps}, over values that include the outside constant. *)
+let random_steps_with_const st =
+  let value () = Value.int [| 0; 1; 2; 3; 7 |].(Random.State.int st 5) in
+  List.init (Random.State.int st 12) (fun _ ->
+      let a = value () and b = value () in
+      (Random.State.bool st, if Random.State.bool st then (e, [| a; b |]) else (u, [| a |])))
+
+let prop_node_kinds_agree_with_consts =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"atom trees = bag trees = maintained = reference, with constants"
+       ~count:400
+       (QCheck.make
+          ~print:(fun (q, d, _) -> pp_pair (q, d))
+          (fun st ->
+            (random_acyclic_with_const st, random_db_with_const st, random_steps_with_const st)))
+       (fun (q, d, steps) ->
+         let q = Decomp.canonical q in
+         match (Decomp.choose q, Ghd.plan q) with
+         | Decomp.Dp t, Some g ->
+             let agree d =
+               let expected = reference q d in
+               Nat.equal (Decomp.count_tree t d) expected
+               && Nat.equal (Ghd.count g d) expected
+             in
+             let count, final = maintained q d steps in
+             agree d && agree final && Nat.equal count (reference q final)
+         | _ -> QCheck.assume_fail ()))
+
+(* ------------------------------------------------------------------ *)
+(* Counts past the machine int                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* K_m without loops: [m·(m−1)^k] stars with [k] out-leaves, and
+   [((m−1)^6 + (m−1))·(m−1)^p] 6-cycles with [p] pendant out-edges (closed
+   walks of length 6, times the pendants' choices). *)
+let loop_free_complete m =
+  let d = ref (Structure.empty (Schema.make [ e ])) in
+  for i = 0 to m - 1 do
+    for j = 0 to m - 1 do
+      if i <> j then d := Structure.add_fact !d e [ Value.int i; Value.int j ]
+    done
+  done;
+  !d
+
+let star k = Build.(query (List.init k (fun i -> atom e [ v "c"; var i ])))
+
+let pendant_cycle p =
+  Build.(
+    query
+      (cycle e (List.init 6 (fun i -> v (Printf.sprintf "y%d" i)))
+      @ List.init p (fun i -> atom e [ v "y0"; var i ])))
+
+let star_count m k = Nat.mul (Nat.of_int m) (Nat.pow (Nat.of_int (m - 1)) k)
+
+let pendant_count m p =
+  Nat.mul
+    (Nat.add (Nat.pow (Nat.of_int (m - 1)) 6) (Nat.of_int (m - 1)))
+    (Nat.pow (Nat.of_int (m - 1)) p)
+
+let fits_int n = Nat.to_int_opt n <> None
+
+let tree_of q =
+  match Decomp.choose (Decomp.canonical q) with
+  | Decomp.Dp t -> t
+  | _ -> Alcotest.fail "an acyclic query must route to the join-tree DP"
+
+let plan_of q =
+  match Ghd.plan q with Some g -> g | None -> Alcotest.fail "no decomposition"
+
+let test_overflow_promotes () =
+  let d = loop_free_complete 8 in
+  (* the boundaries the cases below straddle *)
+  Alcotest.(check bool) "8·7^21 fits" true (fits_int (star_count 8 21));
+  Alcotest.(check bool) "8·7^22 does not" false (fits_int (star_count 8 22));
+  Alcotest.(check bool) "6-cycle, 16 pendants fits" true (fits_int (pendant_count 8 16));
+  Alcotest.(check bool) "6-cycle, 17 pendants does not" false (fits_int (pendant_count 8 17));
+  List.iter
+    (fun k ->
+      let q = star k and expected = Nat.to_string (star_count 8 k) in
+      Alcotest.(check string) (Printf.sprintf "count_tree, star %d" k) expected
+        (Nat.to_string (Decomp.count_tree (tree_of q) d));
+      Alcotest.(check string) (Printf.sprintf "Ghd.count, star %d" k) expected
+        (Nat.to_string (Ghd.count (plan_of q) d)))
+    [ 20; 21; 22; 30 ];
+  List.iter
+    (fun p ->
+      Alcotest.(check string) (Printf.sprintf "Ghd.count, 6-cycle + %d pendants" p)
+        (Nat.to_string (pendant_count 8 p))
+        (Nat.to_string (Ghd.count (plan_of (pendant_cycle p)) d)))
+    [ 0; 16; 17; 25 ];
+  (* the int weight itself: 2^31 · 2^31 = 2^62 is one past [max_int] *)
+  Alcotest.(check int) "2^31 · (2^31 − 1)" (max_int - (1 lsl 31) + 1)
+    (Jointree.Int_weight.mul (1 lsl 31) ((1 lsl 31) - 1));
+  Alcotest.check_raises "2^31 · 2^31" Jointree.Overflow (fun () ->
+      ignore (Jointree.Int_weight.mul (1 lsl 31) (1 lsl 31)));
+  Alcotest.check_raises "max_int + 1" Jointree.Overflow (fun () ->
+      ignore (Jointree.Int_weight.add max_int 1))
+
+(* Under fuel, a count whose int pass overflows is exact or exhausted at
+   every budget — never a wrapped int. *)
+let test_overflow_under_fuel () =
+  let d = loop_free_complete 8 in
+  let q = star 22 in
+  let expected = Nat.to_string (star_count 8 22) in
+  let sweep name ~stride count =
+    let b = Budget.create ~fuel:max_int () in
+    Alcotest.(check string) (name ^ " unbounded") expected (Nat.to_string (count b));
+    let needed = Budget.ticks b in
+    let fuel = ref 1 in
+    while !fuel <= needed do
+      let b = Budget.create ~fuel:!fuel () in
+      (match Budget.protect b (fun () -> count b) with
+      | Ok n -> Alcotest.(check string) (Printf.sprintf "%s at fuel %d" name !fuel) expected (Nat.to_string n)
+      | Error Budget.Fuel ->
+          if !fuel = needed then Alcotest.failf "%s: exhausted with the fuel it needs" name
+      | Error Budget.Deadline -> Alcotest.fail "tripped on deadline, not fuel");
+      fuel := if !fuel < needed && !fuel + stride > needed then needed else !fuel + stride
+    done;
+    let b = Budget.create ~fuel:(needed - 1) () in
+    Alcotest.(check bool) (name ^ " one tick short") true
+      (Budget.protect b (fun () -> count b) = Error Budget.Fuel)
+  in
+  let t = tree_of q and g = plan_of q in
+  sweep "count_tree" ~stride:1 (fun b -> Decomp.count_tree ~budget:b t d);
+  sweep "Ghd.count" ~stride:7 (fun b -> Ghd.count ~budget:b g d)
+
+(* ------------------------------------------------------------------ *)
+(* One index, two domains                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Code rows and lazily memoised code groups of one shared index, read by
+   the bag joins and atom trees of two domains at once. *)
+let test_shared_index_across_domains () =
+  let st = Random.State.make [| 11 |] in
+  let d = ref (Structure.empty (Schema.make [ e; u ])) in
+  for _ = 1 to 160 do
+    d :=
+      Structure.add_fact !d e
+        [ Value.int (Random.State.int st 30); Value.int (Random.State.int st 30) ]
+  done;
+  for i = 0 to 9 do
+    d := Structure.add_fact !d u [ Value.int (3 * i) ]
+  done;
+  let d = !d in
+  let plans = List.map plan_of [ six_cycle; pinned_path; pendant_cycle 3 ] in
+  let tree = tree_of pinned_path in
+  let builds0 = global_counter "hom_index_builds" in
+  ignore (Index.get d);
+  let run () =
+    List.init 4 (fun _ ->
+        Nat.to_string (Decomp.count_tree tree d)
+        :: List.map (fun g -> Nat.to_string (Ghd.count g d)) plans)
+  in
+  let workers = List.init 2 (fun _ -> Domain.spawn run) in
+  let parallel = List.map Domain.join workers in
+  let sequential = run () in
+  List.iteri
+    (fun i r -> Alcotest.(check (list (list string))) (Printf.sprintf "domain %d" i) sequential r)
+    parallel;
+  Alcotest.(check (list string)) "reference" [ Nat.to_string (reference pinned_path d) ]
+    [ List.hd (List.hd sequential) ];
+  Alcotest.(check bool) "at most one index build" true
+    (global_counter "hom_index_builds" - builds0 <= 1)
+
 let test_metrics_family () =
   let plans0 = global_counter "ghd_plans_built" in
   let runs0 = global_counter "ghd_runs" in
@@ -366,6 +615,7 @@ let () =
           prop "fused cycle pairs = reference" ~count:600 random_fused_cycles;
           prop "θ-patterns = reference" ~count:600 random_theta;
           prop_node_kinds_agree;
+          prop_node_kinds_agree_with_consts;
         ] );
       ( "unit",
         [
@@ -379,5 +629,11 @@ let () =
             test_deadline_reason_preserved;
           Alcotest.test_case "cost model routes 6-cycles to the GHD" `Quick
             test_cost_model_picks_ghd;
+          Alcotest.test_case "int overflow promotes to Nat" `Quick test_overflow_promotes;
+          Alcotest.test_case "overflow under fuel: exact or exhausted" `Quick
+            test_overflow_under_fuel;
+          Alcotest.test_case "seen-set folds repeated bag rows" `Quick test_seen_set;
+          Alcotest.test_case "one index shared by two domains" `Quick
+            test_shared_index_across_domains;
         ] );
     ]

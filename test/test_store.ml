@@ -206,6 +206,104 @@ let test_register_exhaustion_is_structured () =
     (Nat.to_string info.Store.reg_count)
 
 (* ------------------------------------------------------------------ *)
+(* counts past the machine int                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* K_m without loops: [m·(m−1)^k] stars with [k] out-leaves (maintained),
+   [((m−1)^6 + (m−1))·(m−1)^p] 6-cycles with [p] pendant out-edges
+   (recounted through the decomposition). *)
+let complete_facts m =
+  List.concat_map
+    (fun i -> List.filter_map (fun j -> if i <> j then Some (sym_e, tup2 i j) else None) (List.init m Fun.id))
+    (List.init m Fun.id)
+
+let star k =
+  Parse.parse_exn (String.concat " & " (List.init k (Printf.sprintf "E(c,x%d)")))
+
+let pendant_cycle p =
+  Parse.parse_exn
+    (String.concat " & "
+       (List.init 6 (fun i -> Printf.sprintf "E(y%d,y%d)" i ((i + 1) mod 6))
+       @ List.init p (Printf.sprintf "E(y0,p%d)")))
+
+let pow b e = Nat.pow (Nat.of_int b) e
+let star_count m k = Nat.mul (Nat.of_int m) (pow (m - 1) k)
+let pendant_count m p = Nat.mul (Nat.add (pow (m - 1) 6) (Nat.of_int (m - 1))) (pow (m - 1) p)
+let fits_int n = Nat.to_int_opt n <> None
+
+let row_of rows q =
+  match List.find_opt (fun r -> r.Store.cr_query = Query.to_string q) rows with
+  | Some r -> r
+  | None -> Alcotest.failf "no registered count for %s" (Query.to_string q)
+
+(* K7 → K8 → K7 by single-edge inserts and deletes: both counts cross
+   2^62 on the way up and back down on the way down. *)
+let test_overflow_both_ways () =
+  let st = fresh_store () in
+  create_db st "k" (complete_facts 7);
+  let s = star 22 and c = pendant_cycle 17 in
+  ignore (done_exn (Store.register st ~name:"k" s));
+  ignore (done_exn (Store.register st ~name:"k" c));
+  let expect label m =
+    let rows = done_exn (Store.counts st ~name:"k") in
+    let rs = row_of rows s and rc = row_of rows c in
+    Alcotest.(check string) (label ^ ": star") (Nat.to_string (star_count m 22))
+      (Nat.to_string rs.Store.cr_count);
+    Alcotest.(check bool) (label ^ ": star maintained") true rs.Store.cr_maintained;
+    Alcotest.(check string) (label ^ ": 6-cycle") (Nat.to_string (pendant_count m 17))
+      (Nat.to_string rc.Store.cr_count);
+    Alcotest.(check bool) (label ^ ": star fresh") false (done_exn (Store.is_stale st ~name:"k" s))
+  in
+  Alcotest.(check bool) "K7 counts fit" true
+    (fits_int (star_count 7 22) && fits_int (pendant_count 7 17));
+  Alcotest.(check bool) "K8 counts do not" false
+    (fits_int (star_count 8 22) || fits_int (pendant_count 8 17));
+  expect "K7" 7;
+  let spokes = List.concat (List.init 7 (fun i -> [ tup2 i 7; tup2 7 i ])) in
+  let step f t =
+    let mu = done_exn (f st ~name:"k" sym_e t) in
+    Alcotest.(check int) "no registration went stale" 0 mu.Store.stale
+  in
+  List.iter (step (fun st ~name -> Store.db_insert st ~name)) spokes;
+  expect "K8" 8;
+  List.iter (step (fun st ~name -> Store.db_delete st ~name)) spokes;
+  expect "K7 again" 7
+
+(* The insert of a loop at vertex 0 of K8 takes the maintained star from
+   8·7^21 (an int) to 7^22 + 8^21 (not one).  At every fuel the insert
+   either completes with the exact count or leaves the registration stale,
+   and a read repairs it to the exact count. *)
+let test_overflow_delta_under_fuel () =
+  let s = star 21 in
+  let before = star_count 8 21 and after = Nat.add (pow 7 22) (pow 8 21) in
+  Alcotest.(check bool) "crosses" true (fits_int before && not (fits_int after));
+  let setup () =
+    let st = fresh_store () in
+    create_db st "k" (complete_facts 8);
+    ignore (done_exn (Store.register st ~name:"k" s));
+    st
+  in
+  let insert ?budget st = done_exn (Store.db_insert ?budget st ~name:"k" sym_e (tup2 0 0)) in
+  let needed =
+    let b = Budget.create ~fuel:max_int () in
+    let mu = insert ~budget:b (setup ()) in
+    Alcotest.(check int) "maintained" 1 mu.Store.maintained;
+    Budget.ticks b
+  in
+  let fuels = List.init ((needed / 7) + 1) (fun i -> 1 + (7 * i)) @ [ needed - 1; needed; needed + 1 ] in
+  List.iter
+    (fun fuel ->
+      let st = setup () in
+      let mu = insert ~budget:(Budget.create ~fuel ()) st in
+      let stale = done_exn (Store.is_stale st ~name:"k" s) in
+      Alcotest.(check bool) "stale exactly when the insert tripped" (mu.Store.stale = 1) stale;
+      Alcotest.(check bool) (Printf.sprintf "stale at fuel %d" fuel) (fuel < needed) stale;
+      let r = row_of (done_exn (Store.counts st ~name:"k")) s in
+      Alcotest.(check string) (Printf.sprintf "count at fuel %d" fuel) (Nat.to_string after)
+        (Nat.to_string r.Store.cr_count))
+    fuels
+
+(* ------------------------------------------------------------------ *)
 (* server cache: LRU cap, eviction on mutation                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -449,7 +547,11 @@ let () =
             test_fuel_trip_marks_stale;
           Alcotest.test_case "register exhaustion" `Quick
             test_register_exhaustion_is_structured;
+          Alcotest.test_case "overflow under fuel: exact or stale" `Quick
+            test_overflow_delta_under_fuel;
         ] );
+      ( "overflow",
+        [ Alcotest.test_case "K7 to K8 and back" `Quick test_overflow_both_ways ] );
       ( "cache",
         [
           Alcotest.test_case "lru cap" `Quick test_cache_lru;
