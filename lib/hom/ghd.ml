@@ -1,4 +1,3 @@
-open Bagcq_relational
 open Bagcq_cq
 module Nat = Bagcq_bignum.Nat
 module Budget = Bagcq_guard.Budget
@@ -20,29 +19,21 @@ let ghd_bag_rows = Metrics.counter Metrics.global "ghd_bag_rows"
    which is the "generalised" part.  [atoms] is the full join the bag
    materialises — λ(B) plus every query atom assigned to this bag — in the
    backtracking join order [bagcq explain] reports, compiled into [steps]
-   over a frame of [nvars] slots (χ first, then the cover's extension
-   variables).  [distinct] holds when the join can never emit one
-   χ-projection twice, so the materialisation needs no seen-set. *)
+   of the one compiled join ({!Plan.join}) over a frame of [nvars] slots
+   (χ first, then the cover's extension variables).  [private_pos.(s)],
+   for a probe-free step, marks the positions binding variables outside χ
+   that no other atom reads: pure range restrictors, blanked and
+   deduplicated once per count instead of enumerated.  [distinct] holds
+   when the join can never emit one χ-projection twice, so the
+   materialisation needs no seen-set. *)
 type join = {
   chi : string array;
   cover : Atom.t array;
   atoms : Atom.t array;
-  steps : step array;
+  steps : Plan.step array;
+  private_pos : bool array option array;
   nvars : int;
   distinct : bool;
-}
-
-(* One atom of a bag join.  [probe] is the first position fixed before the
-   atom is reached — a constant or a variable bound by an earlier atom —
-   whose index bucket is scanned instead of the whole relation.
-   [private_pos], for a probe-free atom, marks the positions binding
-   variables outside χ that no other atom reads: pure range restrictors,
-   blanked and deduplicated once per count instead of enumerated. *)
-and step = {
-  sym : Symbol.t;
-  pat : Jointree.pattern;
-  probe : int option;
-  private_pos : bool array option;
 }
 
 type bag = join Jointree.shape
@@ -244,64 +235,46 @@ let join_order (atoms : Atom.t list) =
   List.rev !out
 
 (* The query-only half of a bag's materialisation, compiled once per
-   plan: the frame (χ first, then the cover's extension variables),
-   per-atom ops, probes and private positions. *)
+   plan: the frame (χ first, then the cover's extension variables), the
+   join's steps and their private positions. *)
 let compile_join chi cover atoms =
   let vars = List.concat_map Atom.vars (Array.to_list atoms) in
   let extension = List.filter (fun x -> not (Array.mem x chi)) vars in
   let frame = Array.append chi (Array.of_list (List.sort_uniq compare extension)) in
-  let bound = Array.make (Array.length frame) false in
-  let pats =
-    Array.map
-      (fun a ->
-        (* fixed before the atom is reached: a constant, or a slot bound
-           by an *earlier* atom — a same-atom repeat is an [Op_check] too,
-           but its slot is not yet set when the probe runs *)
-        let earlier = Array.copy bound in
-        let pat = Jointree.pattern (Jointree.slot frame) bound (Atom.args a) in
-        let fixed = function
-          | Jointree.Op_cst _ -> true
-          | Op_check i -> earlier.(i)
-          | Op_bind _ -> false
-        in
-        (pat, Array.find_index fixed pat.ops))
-      atoms
-  in
+  let steps = Plan.steps frame atoms in
   let checked j =
     Array.exists
-      (fun ((p : Jointree.pattern), _) ->
-        Array.exists (function Jointree.Op_check i -> i = j | _ -> false) p.ops)
-      pats
+      (fun (s : Plan.step) ->
+        Array.exists (function Jointree.Op_check i -> i = j | _ -> false) s.pat.ops)
+      steps
   in
-  let step a ((pat : Jointree.pattern), probe) =
+  let private_pos (s : Plan.step) =
     let priv =
       Array.map
         (function
           | Jointree.Op_bind j -> j >= Array.length chi && not (checked j)
           | Op_cst _ | Op_check _ -> false)
-        pat.ops
+        s.pat.ops
     in
-    let private_pos = if probe = None && Array.exists Fun.id priv then Some priv else None in
-    { sym = Atom.sym a; pat; probe; private_pos }
+    if s.probe = None && Array.exists Fun.id priv then Some priv else None
   in
-  let steps = Array.map2 step atoms pats in
+  let private_pos = Array.map private_pos steps in
   (* Distinct candidate rows that pass an atom's ops differ at a bound
      position, so distinct join paths end in distinct frames.  When every
      slot outside χ is bound only at a deduplicated private position —
      always blank — distinct frames have distinct χ-projections. *)
   let nvars = Array.length frame and nchi = Array.length chi in
   let blanked = Array.make nvars false in
-  Array.iter
-    (fun s ->
+  Array.iter2
+    (fun (s : Plan.step) ->
       Option.iter
         (Array.iteri (fun p priv ->
              match s.pat.ops.(p) with
              | Jointree.Op_bind j when priv -> blanked.(j) <- true
-             | _ -> ()))
-        s.private_pos)
-    steps;
+             | _ -> ())))
+    steps private_pos;
   let distinct = Array.for_all Fun.id (Array.sub blanked nchi (nvars - nchi)) in
-  { chi; cover; atoms; steps; nvars; distinct }
+  { chi; cover; atoms; steps; private_pos; nvars; distinct }
 
 let plan (q : Query.t) : t option =
   if Query.has_neqs q then None
@@ -483,8 +456,8 @@ let plan (q : Query.t) : t option =
 (* ------------------------------ counting ------------------------------ *)
 
 (* A bag's row source: the *distinct* projections onto χ(B) of the join of
-   its atoms — a backtracking join over code rows and per-position code
-   groups of the [Index], duplicates folded by a seen-set (unless the plan
+   its atoms — the compiled backtracking join of {!Plan} over the
+   [Index]'s codes, duplicates folded by a seen-set (unless the plan
    proved there are none) because a bag row asserts only the *existence*
    of an extension.  Opening the source interprets the constants and runs
    the pre-projections (ticking), before the bag's children are
@@ -494,22 +467,12 @@ let plan (q : Query.t) : t option =
    mid-materialisation. *)
 let bag_rows ~tick ~emitted idx d (j : join) =
   let bits = Jointree.Key.bits_for (Array.length (Index.domain idx)) in
-  let ops = Array.map (fun s -> Jointree.resolve (Jointree.index_code idx) d s.pat) j.steps in
-  let candidates s ops =
-    let si = Index.sym_index idx s.sym in
-    match (s.probe, s.private_pos) with
-    | Some p, _ -> (
-        let groups = Index.code_groups si ~pos:p in
-        let group c = if c >= 0 && c < Array.length groups then groups.(c) else [||] in
-        match ops.(p) with
-        | Jointree.Op_cst c ->
-            let rows = group c in
-            fun _ -> rows
-        | Op_check i | Op_bind i -> fun env -> group env.(i))
-    | None, None ->
-        let rows = Index.code_rows si in
-        fun _ -> rows
-    | None, Some priv ->
+  let code = Jointree.index_code idx in
+  let ops = Array.map (fun (s : Plan.step) -> Jointree.resolve code d s.pat) j.steps in
+  let level (s : Plan.step) ops priv =
+    match priv with
+    | None -> { Plan.rows = Plan.scan idx s ops; ops; neqs = [||] }
+    | Some priv ->
         (* first occurrences, in index order, private positions blanked *)
         let kept =
           Array.of_list (List.filter (fun p -> not priv.(p)) (List.init (Array.length priv) Fun.id))
@@ -525,10 +488,11 @@ let bag_rows ~tick ~emitted idx d (j : join) =
             Some (Array.mapi (fun p c -> if priv.(p) then Jointree.no_code else c) row)
           end
         in
-        let rows = Array.of_list (List.filter_map fresh (Array.to_list (Index.code_rows si))) in
-        fun _ -> rows
+        let all = Index.code_rows (Index.sym_index idx s.sym) in
+        let rows = Array.of_list (List.filter_map fresh (Array.to_list all)) in
+        { rows = (fun _ -> rows); ops; neqs = [||] }
   in
-  let candidates = Array.map2 candidates j.steps ops in
+  let levels = Array.mapi (fun i s -> level s ops.(i) j.private_pos.(i)) j.steps in
   let chi = Array.init (Array.length j.chi) Fun.id in
   fun emit ->
     let env = Array.make (max 1 j.nvars) Jointree.no_code in
@@ -546,21 +510,11 @@ let bag_rows ~tick ~emitted idx d (j : join) =
              end
       end
     in
-    let rec join s =
-      if s = Array.length ops then begin
+    Plan.join ~tick levels env (fun () ->
         if fresh () then begin
           incr emitted;
           emit env
-        end
-      end
-      else
-        let rows = candidates.(s) env in
-        for r = 0 to Array.length rows - 1 do
-          tick ();
-          if Jointree.matches ops.(s) env rows.(r) then join (s + 1)
-        done
-    in
-    join 0
+        end)
 
 (* The bag-relation DP: every atom is enforced in exactly one bag and the
    χ-sets of any variable form a connected subtree, so the glued rows are

@@ -17,9 +17,8 @@ let index_builds =
    codes — codes are indexes into the structure's sorted domain, so code
    order is [Value.compare] order; [cols.(pos).(row)] is the code of the
    value at [pos], so every column is a sorted-int problem.
-   [by_pos.(pos).(code)] packs the tuples holding [code] at [pos] (row
-   order, hence [Tuple.compare] order); [groups.(pos)] is the same
-   grouping over code rows, built on the first probe of that position.
+   [groups.(pos).(code)] packs the code rows holding [code] at [pos], in
+   row order, built on the first probe of that position.
    [views] memoises the re-sorted trie views handed to the leapfrog
    kernel, keyed by attribute order.  [groups] and [views] are mutated
    under [lock] because one structure (and hence one index) is shared
@@ -28,8 +27,6 @@ type sym_index = {
   tuples : Tuple.t array;
   rows : int array array;
   cols : int array array;
-  by_pos : Tuple.t array array array;
-  code_of : int ValueTbl.t;  (* shared with the owning [t] *)
   groups : int array array array option array;
   views : (int array, int array array) Hashtbl.t;
   lock : Mutex.t;
@@ -41,15 +38,11 @@ type t = {
   code_of : int ValueTbl.t;
 }
 
-let no_tuples : Tuple.t array = [||]
-
 let empty_sym_index arity =
   {
-    tuples = no_tuples;
+    tuples = [||];
     rows = [||];
     cols = Array.make arity [||];
-    by_pos = Array.make arity [||];
-    code_of = ValueTbl.create 1;
     groups = Array.make arity None;
     views = Hashtbl.create 1;
     lock = Mutex.create ();
@@ -81,8 +74,6 @@ let build_sym_index code_of sym tuples =
     tuples;
     rows;
     cols;
-    by_pos = Array.map (fun col -> group col tuples) cols;
-    code_of;
     groups = Array.make arity None;
     views = Hashtbl.create 4;
     lock = Mutex.create ();
@@ -124,27 +115,6 @@ let domain idx = idx.domain
 let code idx v = ValueTbl.find_opt idx.code_of v
 let all si = si.tuples
 let code_rows si = si.rows
-
-let candidates (si : sym_index) ~pos v =
-  match ValueTbl.find_opt si.code_of v with
-  | None -> no_tuples
-  | Some c ->
-      let groups = si.by_pos.(pos) in
-      if c < Array.length groups then groups.(c) else no_tuples
-
-(* [tuples] is sorted by [Tuple.compare]; membership is a binary search. *)
-let mem si tup =
-  let ts = si.tuples in
-  let lo = ref 0 and hi = ref (Array.length ts) in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = Tuple.compare tup ts.(mid) in
-    if c = 0 then found := true
-    else if c < 0 then hi := mid
-    else lo := mid + 1
-  done;
-  !found
 
 let build_view si (order : int array) =
   let n = Array.length si.tuples in

@@ -5,12 +5,12 @@
     replaced by its rank in the structure's sorted active domain, so code
     order is {!Value.compare} order and every column operation (prefix
     ranges, galloping seeks, membership) is integer comparison on dense
-    arrays.  Three consumers share the result: the compiled backtracking
-    kernel ({!Plan}, {!Solver}) keeps its scan / per-position-probe /
-    membership interface; the leapfrog kernel ({!Wcoj}) asks for {!view}s —
-    the relation re-sorted under an attribute order, exposed as per-level
-    code arrays it can intersect with binary search; and the join-tree DP
-    scans {!code_rows} and probes {!code_groups}.
+    arrays.  Every kernel reads codes: the compiled backtracking join
+    ({!Plan.join}, behind {!Solver} and the hypertree bags of {!Ghd}) and
+    the join-tree DP scan {!code_rows} and probe {!code_groups}; the
+    leapfrog kernel ({!Wcoj}) asks for {!view}s — the relation re-sorted
+    under an attribute order, exposed as per-level code arrays it can
+    intersect with binary search.
 
     The index is memoised on the structure itself (through
     {!Structure.memo_store}), so it is built at most once per structure no
@@ -60,12 +60,6 @@ val code_groups : sym_index -> pos:int -> int array array array
 (** [(code_groups si ~pos).(c)] holds the {!code_rows} with code [c] at
     [pos], in row order; codes past the end of the array have none.
     Memoised per [(relation, pos)] on first use; shared — do not mutate. *)
-
-val candidates : sym_index -> pos:int -> Value.t -> Tuple.t array
-(** The tuples holding the given element at position [pos], in
-    {!Tuple.compare} order.  Shared — do not mutate. *)
-
-val mem : sym_index -> Tuple.t -> bool
 
 val view : sym_index -> int array -> int array array
 (** [view si order] is the relation re-sorted lexicographically under the

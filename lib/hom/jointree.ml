@@ -120,20 +120,19 @@ let resolve code d pat =
 let index_code idx v = Option.value ~default:no_code (Index.code idx v)
 
 (* Run the per-position ops against one code row, filling [env] at the
-   binding points; false when a constant or repeated variable mismatches. *)
-let matches ops env (row : int array) =
-  let n = Array.length ops in
-  let rec go i =
-    i = n
-    || (match ops.(i) with
-       | Op_cst c -> row.(i) = c
-       | Op_check j -> row.(i) = env.(j)
-       | Op_bind j ->
-           env.(j) <- row.(i);
-           true)
-       && go (i + 1)
-  in
-  go 0
+   binding points; false when a constant or repeated variable mismatches.
+   A top-level loop, so the per-row call allocates no closure. *)
+let rec matches_from ops env (row : int array) i =
+  i = Array.length ops
+  || (match ops.(i) with
+     | Op_cst c -> row.(i) = c
+     | Op_check j -> row.(i) = env.(j)
+     | Op_bind j ->
+         env.(j) <- row.(i);
+         true)
+     && matches_from ops env row (i + 1)
+
+let matches ops env row = matches_from ops env row 0
 
 type 'src shape = {
   src : 'src;

@@ -1,87 +1,131 @@
+open Bagcq_relational
 open Bagcq_cq
 
-type check = Neq_cst of int | Neq_var of int
-
-type op = Check_cst of int | Check_var of int | Bind of int * check list
-
-type probe =
-  | Probe_all
-  | Probe_cst of int * int
-  | Probe_var of int * int
-  | Probe_mem
-
-type node = { sym : Bagcq_relational.Symbol.t; ops : op array; probe : probe }
+type step = { sym : Symbol.t; pat : Jointree.pattern; probe : int option }
 
 type t = {
-  nodes : node array;
-  consts : string array;
-  cst_cst_neqs : (int * int) list;
-  free : (int * check list) array;
-  nvars : int;
+  steps : step array;
+  nfree : int;
+  neqs : (int * int) array array;
+  neq_consts : string array;
+  cst_neqs : (string * string) list;
   var_names : string array;
 }
 
+type level = {
+  rows : int array -> int array array;
+  ops : Jointree.op array;
+  neqs : (int * int) array;
+}
+
+(* ------------------------------ the join ------------------------------ *)
+
+(* A step probes the first position fixed before the atom is reached — a
+   constant, or a slot bound by an *earlier* atom.  A same-atom repeat is
+   an [Op_check] too, but its slot is not yet set when the probe runs. *)
+let steps frame atoms =
+  let bound = Array.make (Array.length frame) false in
+  Array.map
+    (fun a ->
+      let earlier = Array.copy bound in
+      let pat = Jointree.pattern (Jointree.slot frame) bound (Atom.args a) in
+      let fixed = function
+        | Jointree.Op_cst _ -> true
+        | Op_check i -> earlier.(i)
+        | Op_bind _ -> false
+      in
+      { sym = Atom.sym a; pat; probe = Array.find_index fixed pat.ops })
+    atoms
+
+(* The row of [rows.(lo..hi-1)] — sorted lexicographically, as every
+   bucket of {!Index.code_rows} is — that a fully fixed [ops] names in
+   [env], by binary search. *)
+let rec find ops env (rows : int array array) lo hi =
+  let rec cmp (row : int array) p =
+    if p = Array.length ops then 0
+    else
+      let k =
+        match ops.(p) with Jointree.Op_cst c -> c | Op_check i | Op_bind i -> env.(i)
+      in
+      match Int.compare k row.(p) with 0 -> cmp row (p + 1) | c -> c
+  in
+  if lo >= hi then [||]
+  else
+    let mid = (lo + hi) / 2 in
+    match cmp rows.(mid) 0 with
+    | 0 -> [| rows.(mid) |]
+    | c when c < 0 -> find ops env rows lo mid
+    | _ -> find ops env rows (mid + 1) hi
+
+let scan idx s (ops : Jointree.op array) =
+  let si = Index.sym_index idx s.sym in
+  match s.probe with
+  | None ->
+      let rows = Index.code_rows si in
+      fun _ -> rows
+  | Some p ->
+      let groups = Index.code_groups si ~pos:p in
+      let group c = if c >= 0 && c < Array.length groups then groups.(c) else [||] in
+      let bucket =
+        match ops.(p) with
+        | Jointree.Op_cst c ->
+            let rows = group c in
+            fun _ -> rows
+        | Op_check i | Op_bind i -> fun env -> group env.(i)
+      in
+      if Array.exists (function Jointree.Op_bind _ -> true | _ -> false) ops then bucket
+      else
+        (* every position fixed: the one row of the bucket the frame names *)
+        fun env ->
+          let rows = bucket env in
+          find ops env rows 0 (Array.length rows)
+
+let rec differ env (neqs : (int * int) array) i =
+  i = Array.length neqs
+  ||
+  let x, y = neqs.(i) in
+  env.(x) <> env.(y) && differ env neqs (i + 1)
+
+let join ~tick levels env emit =
+  let n = Array.length levels in
+  let rec go l =
+    if l = n then emit ()
+    else begin
+      let lv = levels.(l) in
+      let rows = lv.rows env in
+      for r = 0 to Array.length rows - 1 do
+        tick ();
+        if Jointree.matches lv.ops env rows.(r) && differ env lv.neqs 0 then go (l + 1)
+      done
+    end
+  in
+  go 0
+
+(* ---------------------------- atom ordering ---------------------------- *)
+
 (* Greedy static join order: repeatedly pick the atom with the most
-   determined positions (constants + already-bound variables), breaking ties
-   towards fewer fresh variables, then input order.  Unlike the seed
-   solver's [order_atoms] — which rebuilt the candidate list with
-   [List.filter] on every step — selection works over index arrays and the
-   determinedness counters are updated incrementally, only for the atoms
-   that share a newly-bound variable. *)
+   determined positions (constants + already-bound variables), breaking
+   ties towards fewer fresh variables, then input order. *)
 let order_atoms atoms =
   let n = Array.length atoms in
-  let det = Array.make n 0 in
-  let fresh = Array.make n 0 in
-  let occs : (string, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
-  Array.iteri
-    (fun i a ->
-      let local = Hashtbl.create 4 in
-      Array.iter
-        (function
-          | Term.Cst _ -> det.(i) <- det.(i) + 1
-          | Term.Var x ->
-              Hashtbl.replace local x
-                (1 + Option.value ~default:0 (Hashtbl.find_opt local x)))
-        (Atom.args a);
-      Hashtbl.iter
-        (fun x m ->
-          fresh.(i) <- fresh.(i) + 1;
-          Hashtbl.replace occs x
-            ((i, m) :: Option.value ~default:[] (Hashtbl.find_opt occs x)))
-        local)
-    atoms;
-  let selected = Array.make n false in
-  let bound = Hashtbl.create 16 in
-  let order = Array.make n 0 in
-  for step = 0 to n - 1 do
-    let best = ref (-1) and best_score = ref (min_int, min_int) in
-    for i = 0 to n - 1 do
-      if not selected.(i) then begin
-        let score = (det.(i), -fresh.(i)) in
-        if score > !best_score then begin
-          best := i;
-          best_score := score
-        end
-      end
-    done;
-    let i = !best in
-    selected.(i) <- true;
-    order.(step) <- i;
-    Array.iter
-      (function
-        | Term.Cst _ -> ()
-        | Term.Var x ->
-            if not (Hashtbl.mem bound x) then begin
-              Hashtbl.add bound x ();
-              List.iter
-                (fun (j, m) ->
-                  det.(j) <- det.(j) + m;
-                  fresh.(j) <- fresh.(j) - 1)
-                (Option.value ~default:[] (Hashtbl.find_opt occs x))
-            end)
-      (Atom.args atoms.(i))
-  done;
-  order
+  let bound = Hashtbl.create 16 and selected = Array.make n false in
+  let score a =
+    let det t = match t with Term.Cst _ -> true | Term.Var x -> Hashtbl.mem bound x in
+    let fresh = List.filter (fun x -> not (Hashtbl.mem bound x)) (Atom.vars a) in
+    let ndet = Array.fold_left (fun k t -> if det t then k + 1 else k) 0 (Atom.args a) in
+    (ndet, -List.length fresh)
+  in
+  Array.init n (fun _ ->
+      let best = ref (-1) in
+      for i = n - 1 downto 0 do
+        if (not selected.(i)) && (!best < 0 || score atoms.(i) >= score atoms.(!best)) then
+          best := i
+      done;
+      selected.(!best) <- true;
+      List.iter (fun x -> Hashtbl.replace bound x ()) (Atom.vars atoms.(!best));
+      !best)
+
+(* ------------------------------ compilation ---------------------------- *)
 
 (* Library-level metric: how many query shapes reached the compiler.
    Handles resolve once at module initialisation; recording is one
@@ -89,119 +133,62 @@ let order_atoms atoms =
 let plans_compiled =
   Bagcq_obs.Metrics.counter Bagcq_obs.Metrics.global "hom_plans_compiled"
 
-let compile q =
-  Bagcq_obs.Metrics.incr plans_compiled;
-  let atoms = Array.of_list (Query.atoms q) in
-  let order = order_atoms atoms in
-  (* Constants are kept symbolic: they resolve against a structure's
-     interpretation at instantiation time. *)
-  let const_ids = Hashtbl.create 8 in
-  let const_list = ref [] and nconsts = ref 0 in
-  let const_id c =
-    match Hashtbl.find_opt const_ids c with
-    | Some i -> i
-    | None ->
-        let i = !nconsts in
-        incr nconsts;
-        Hashtbl.add const_ids c i;
-        const_list := c :: !const_list;
-        i
-  in
-  (* Variables are numbered by binding order: first occurrence scanning the
-     ordered atoms left to right, then the inequality-only (free) variables
-     in name order.  Comparing ids therefore compares binding time. *)
-  let var_ids = Hashtbl.create 16 in
-  let var_list = ref [] and nvars = ref 0 in
-  let var_id x =
-    match Hashtbl.find_opt var_ids x with
-    | Some v -> v
-    | None ->
-        let v = !nvars in
-        incr nvars;
-        Hashtbl.add var_ids x v;
-        var_list := x :: !var_list;
-        v
-  in
-  Array.iter
-    (fun ai ->
-      Array.iter
-        (function Term.Var x -> ignore (var_id x) | Term.Cst c -> ignore (const_id c))
-        (Atom.args atoms.(ai)))
-    order;
-  let free_names = List.filter (fun x -> not (Hashtbl.mem var_ids x)) (Query.vars q) in
-  let first_free = !nvars in
-  List.iter (fun x -> ignore (var_id x)) free_names;
-  (* Each inequality becomes one check, attached to the binding point of its
-     later-bound endpoint — by then the other endpoint is bound, so the
-     runtime check is a plain array read, no map lookups. *)
-  let checks = Array.make (max 1 !nvars) [] in
-  let cst_cst = ref [] in
-  List.iter
-    (fun (a, b) ->
-      let side = function Term.Var x -> `V (var_id x) | Term.Cst c -> `C (const_id c) in
-      match (side a, side b) with
-      | `C i, `C j -> cst_cst := (i, j) :: !cst_cst
-      | `V v, `C c | `C c, `V v -> checks.(v) <- Neq_cst c :: checks.(v)
-      | `V v, `V w ->
-          let later = max v w and earlier = min v w in
-          checks.(later) <- Neq_var earlier :: checks.(later))
-    (Query.neqs q);
-  let bound_mark = Array.make (max 1 !nvars) false in
-  let nodes =
-    Array.map
-      (fun ai ->
-        let a = atoms.(ai) in
-        (* Which variables are bound strictly before this atom: the probe
-           may only consult those — a [Check_var] against a variable bound
-           earlier in the *same* tuple reads an as-yet-unset slot. *)
-        let prev_bound = Array.copy bound_mark in
-        let ops =
-          Array.map
-            (function
-              | Term.Cst c -> Check_cst (const_id c)
-              | Term.Var x ->
-                  let v = Hashtbl.find var_ids x in
-                  if bound_mark.(v) then Check_var v
-                  else begin
-                    bound_mark.(v) <- true;
-                    Bind (v, List.rev checks.(v))
-                  end)
-            (Atom.args a)
-        in
-        let has_bind = Array.exists (function Bind _ -> true | _ -> false) ops in
-        let probe =
-          if not has_bind then Probe_mem
-          else
-            let rec pick pos =
-              if pos = Array.length ops then Probe_all
-              else
-                match ops.(pos) with
-                | Check_cst c -> Probe_cst (pos, c)
-                | Check_var v when prev_bound.(v) -> Probe_var (pos, v)
-                | Check_var _ | Bind _ -> pick (pos + 1)
-            in
-            pick 0
-        in
-        { sym = Atom.sym a; ops; probe })
-      order
-  in
-  let free =
-    Array.init (List.length free_names) (fun k ->
-        let v = first_free + k in
-        (v, List.rev checks.(v)))
-  in
-  {
-    nodes;
-    consts = Array.of_list (List.rev !const_list);
-    cst_cst_neqs = !cst_cst;
-    free;
-    nvars = !nvars;
-    var_names = Array.of_list (List.rev !var_list);
-  }
-
-let nvars p = p.nvars
-let num_nodes p = Array.length p.nodes
-
 let ordered_atoms q =
   let atoms = Array.of_list (Query.atoms q) in
   Array.to_list (Array.map (fun ai -> atoms.(ai)) (order_atoms atoms))
+
+let compile q =
+  Bagcq_obs.Metrics.incr plans_compiled;
+  let atoms = Array.of_list (ordered_atoms q) in
+  (* Variables are numbered by binding order — first occurrence scanning
+     the ordered atoms — then the ≠-only variables in name order, one
+     level each after the atoms; the ≠ constants take the slots after. *)
+  let bound =
+    List.fold_left
+      (fun acc x -> if List.mem x acc then acc else x :: acc)
+      []
+      (List.concat_map Atom.vars (Array.to_list atoms))
+  in
+  let free = List.filter (fun x -> not (List.mem x bound)) (Query.vars q) in
+  let var_names = Array.of_list (List.rev_append bound free) in
+  let nvars = Array.length var_names and nfree = List.length free in
+  let nsteps = Array.length atoms in
+  let steps = steps var_names atoms in
+  let level = Array.init nvars (fun v -> nsteps + v - (nvars - nfree)) in
+  Array.iteri
+    (fun l s ->
+      Array.iter (function Jointree.Op_bind v -> level.(v) <- l | _ -> ()) s.pat.ops)
+    steps;
+  let neq_consts =
+    Query.neqs q
+    |> List.concat_map (fun (a, b) ->
+           List.filter_map (function Term.Cst c -> Some c | Term.Var _ -> None) [ a; b ])
+    |> List.sort_uniq compare |> Array.of_list
+  in
+  let slot = function
+    | Term.Var x -> Jointree.slot var_names x
+    | Term.Cst c -> nvars + Jointree.slot neq_consts c
+  in
+  let at = function Term.Var x -> level.(Jointree.slot var_names x) | Term.Cst _ -> -1 in
+  (* Each inequality is checked once, at the level binding its later
+     endpoint — by then the other endpoint is bound (or a constant). *)
+  let neqs = Array.make (nsteps + nfree) [] and cst_neqs = ref [] in
+  List.iter
+    (fun (a, b) ->
+      match (a, b) with
+      | Term.Cst c, Term.Cst c' -> cst_neqs := (c, c') :: !cst_neqs
+      | _ ->
+          let a, b = if at a >= at b then (a, b) else (b, a) in
+          neqs.(at a) <- (slot a, slot b) :: neqs.(at a))
+    (Query.neqs q);
+  {
+    steps;
+    nfree;
+    neqs = Array.map (fun l -> Array.of_list (List.rev l)) neqs;
+    neq_consts;
+    cst_neqs = !cst_neqs;
+    var_names;
+  }
+
+let nvars p = Array.length p.var_names
+let num_nodes p = Array.length p.steps

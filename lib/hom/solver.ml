@@ -1,73 +1,52 @@
 open Bagcq_relational
 module StringMap = Map.Make (String)
+module Metrics = Bagcq_obs.Metrics
 
 type assignment = Value.t StringMap.t
 
 exception Stop
 
-(* A plan instantiated against one structure: constants resolved, the join
-   indexes fetched, probes specialised, and the mutable environment
-   allocated.  [Unsat] signals zero homomorphisms discovered statically —
-   an uninterpreted constant or an inequality between equally-interpreted
-   constants. *)
-exception Unsat
-
-type inst_probe =
-  | I_scan of Tuple.t array
-  | I_var of int * int  (* position, variable id *)
-  | I_mem
-
-type inst_node = {
-  ops : Plan.op array;
-  si : Index.sym_index;
-  probe : inst_probe;
-  scratch : Value.t array;  (* reused tuple buffer for I_mem *)
-}
-
-type inst = {
-  plan : Plan.t;
-  cvals : Value.t array;
-  nodes : inst_node array;
-  domain : Value.t array;
-  env : Value.t array;
-}
-
+(* A plan resolved against one structure: one join level per atom, then
+   one per ≠-only variable ranging over the codes of the active domain,
+   and a frame whose last slots hold the ≠ constants' codes.  A constant
+   interpreted outside the active domain codes to [no_code], which no
+   bound slot holds, so its filters pass.  Raises [Unsat_const] when there
+   is no homomorphism at all: an uninterpreted constant, or [c ≠ c']
+   between equally interpreted constants — decided on values, because
+   two distinct constants outside the domain share [no_code]. *)
 let instantiate (plan : Plan.t) d =
-  let cvals =
-    Array.map
-      (fun c ->
-        match Structure.interpretation d c with
-        | Some v -> v
-        | None -> raise_notrace Unsat)
-      plan.consts
+  let interp c =
+    match Structure.interpretation d c with
+    | Some v -> v
+    | None -> raise_notrace Jointree.Unsat_const
   in
   List.iter
-    (fun (i, j) -> if Value.equal cvals.(i) cvals.(j) then raise_notrace Unsat)
-    plan.cst_cst_neqs;
+    (fun (c, c') ->
+      if Value.equal (interp c) (interp c') then raise_notrace Jointree.Unsat_const)
+    plan.cst_neqs;
   let idx = Index.get d in
-  let nodes =
-    Array.map
-      (fun (nd : Plan.node) ->
-        let si = Index.sym_index idx nd.sym in
-        let probe =
-          match nd.probe with
-          | Plan.Probe_mem -> I_mem
-          | Plan.Probe_all -> I_scan (Index.all si)
-          | Plan.Probe_cst (pos, c) -> I_scan (Index.candidates si ~pos cvals.(c))
-          | Plan.Probe_var (pos, v) -> I_var (pos, v)
-        in
-        { ops = nd.ops; si; probe; scratch = Array.make (Array.length nd.ops) (Value.int 0) })
-      plan.nodes
+  let code = Jointree.index_code idx in
+  let nvars = Plan.nvars plan in
+  let env = Array.make (nvars + Array.length plan.neq_consts) Jointree.no_code in
+  Array.iteri (fun i c -> env.(nvars + i) <- code (interp c)) plan.neq_consts;
+  let ops = Array.map (fun (s : Plan.step) -> Jointree.resolve code d s.pat) plan.steps in
+  let nsteps = Array.length plan.steps in
+  let atom_level l s =
+    { Plan.rows = Plan.scan idx s ops.(l); ops = ops.(l); neqs = plan.neqs.(l) }
   in
-  {
-    plan;
-    cvals;
-    nodes;
-    domain = Index.domain idx;
-    env = Array.make (max 1 plan.nvars) (Value.int 0);
-  }
-
-module Metrics = Bagcq_obs.Metrics
+  let free_levels =
+    if plan.nfree = 0 then [||]
+    else begin
+      let codes = Array.init (Array.length (Index.domain idx)) (fun c -> [| c |]) in
+      Array.init plan.nfree (fun k ->
+          {
+            Plan.rows = (fun _ -> codes);
+            ops = [| Jointree.Op_bind (nvars - plan.nfree + k) |];
+            neqs = plan.neqs.(nsteps + k);
+          })
+    end
+  in
+  (Array.append (Array.mapi atom_level plan.steps) free_levels, env, Index.domain idx)
 
 (* Kernel metrics are batched: the hot tick closure bumps a local ref and
    one atomic add lands the total when the run finishes (normally or by
@@ -76,11 +55,9 @@ module Metrics = Bagcq_obs.Metrics
 let solver_runs = Metrics.counter Metrics.global "hom_solver_runs"
 let solver_probes = Metrics.counter Metrics.global "hom_solver_probes"
 
-(* The kernel.  Tick discipline mirrors the seed solver: one tick per
-   backtracking node entered (including the leaf), one per candidate tuple
-   tried at a node, one per domain value tried for a free variable —
-   indexed probes try fewer candidates, so indexed runs also tick less. *)
-let run ?budget inst emit =
+(* One tick per candidate row tried at an atom and per domain value tried
+   for a ≠-only variable. *)
+let run ?budget (levels, env, _) emit =
   Metrics.incr solver_runs;
   let work = ref 0 in
   let tick =
@@ -92,85 +69,13 @@ let run ?budget inst emit =
           incr work;
           Bagcq_guard.Budget.tick b
   in
-  let env = inst.env and cvals = inst.cvals in
-  let nodes = inst.nodes and free = inst.plan.free in
-  let nn = Array.length nodes and nf = Array.length free in
-  let domain = inst.domain in
-  let check_ok checks x =
-    List.for_all
-      (function
-        | Plan.Neq_cst c -> not (Value.equal x cvals.(c))
-        | Plan.Neq_var w -> not (Value.equal x env.(w)))
-      checks
-  in
-  let rec match_ops ops (tup : Tuple.t) i =
-    i = Array.length ops
-    ||
-    match ops.(i) with
-    | Plan.Check_cst c -> Value.equal tup.(i) cvals.(c) && match_ops ops tup (i + 1)
-    | Plan.Check_var v -> Value.equal tup.(i) env.(v) && match_ops ops tup (i + 1)
-    | Plan.Bind (v, checks) ->
-        let x = tup.(i) in
-        check_ok checks x
-        && begin
-             env.(v) <- x;
-             match_ops ops tup (i + 1)
-           end
-  in
-  let rec free_loop k =
-    if k = nf then emit ()
-    else begin
-      let v, checks = free.(k) in
-      Array.iter
-        (fun x ->
-          tick ();
-          if check_ok checks x then begin
-            env.(v) <- x;
-            free_loop (k + 1)
-          end)
-        domain
-    end
-  in
-  let rec node_loop k =
-    tick ();
-    if k = nn then free_loop 0
-    else begin
-      let nd = nodes.(k) in
-      match nd.probe with
-      | I_mem ->
-          Array.iteri
-            (fun i op ->
-              nd.scratch.(i) <-
-                (match op with
-                | Plan.Check_cst c -> cvals.(c)
-                | Plan.Check_var v -> env.(v)
-                | Plan.Bind _ -> assert false))
-            nd.ops;
-          if Index.mem nd.si nd.scratch then node_loop (k + 1)
-      | I_scan tuples ->
-          Array.iter
-            (fun tup ->
-              tick ();
-              if match_ops nd.ops tup 0 then node_loop (k + 1))
-            tuples
-      | I_var (pos, v) ->
-          Array.iter
-            (fun tup ->
-              tick ();
-              if match_ops nd.ops tup 0 then node_loop (k + 1))
-            (Index.candidates nd.si ~pos env.(v))
-    end
-  in
-  let flush () = Metrics.add solver_probes !work in
-  (try node_loop 0
-   with e ->
-     flush ();
-     raise e);
-  flush ()
+  Fun.protect
+    ~finally:(fun () -> Metrics.add solver_probes !work)
+    (fun () -> Plan.join ~tick levels env emit)
 
 let count_plan ?budget plan d =
   match instantiate plan d with
-  | exception Unsat -> 0
+  | exception Jointree.Unsat_const -> 0
   | inst ->
       let n = ref 0 in
       run ?budget inst (fun () -> incr n);
@@ -178,23 +83,22 @@ let count_plan ?budget plan d =
 
 let exists_plan ?budget plan d =
   match instantiate plan d with
-  | exception Unsat -> false
+  | exception Jointree.Unsat_const -> false
   | inst -> (
       try
         run ?budget inst (fun () -> raise_notrace Stop);
         false
       with Stop -> true)
 
-let assignment_of inst =
-  let names = inst.plan.Plan.var_names in
-  let m = ref StringMap.empty in
-  Array.iteri (fun i x -> m := StringMap.add x inst.env.(i) !m) names;
-  !m
-
-let iter_plan ?budget f plan d =
+(* Codes are decoded to values only here, once per emitted assignment. *)
+let iter_plan ?budget f (plan : Plan.t) d =
   match instantiate plan d with
-  | exception Unsat -> ()
-  | inst -> run ?budget inst (fun () -> f (assignment_of inst))
+  | exception Jointree.Unsat_const -> ()
+  | (_, env, domain) as inst ->
+      run ?budget inst (fun () ->
+          let m = ref StringMap.empty in
+          Array.iteri (fun i x -> m := StringMap.add x domain.(env.(i)) !m) plan.var_names;
+          f !m)
 
 let count ?budget q d = count_plan ?budget (Plan.compile q) d
 let exists ?budget q d = exists_plan ?budget (Plan.compile q) d

@@ -1,10 +1,12 @@
 (** Backtracking enumeration of the homomorphisms from a conjunctive query
-    to a structure, through the compiled kernel: queries are compiled once
-    into a {!Plan.t} (static join order, int-numbered variables, precompiled
-    inequality checks), which is then instantiated against a structure's
-    lazily-built join {!Index}.  The environment is a mutable
-    [Value.t array]; candidate tuples at each atom come from a
-    per-(symbol, position, value) index instead of a full-relation scan.
+    to a structure.  Queries are compiled once into a {!Plan.t} (static
+    join order, variables numbered into frame slots, inequalities attached
+    to the level binding their later endpoint), which is then resolved
+    against a structure's lazily-built {!Index} and run by {!Plan.join},
+    the same compiled join that materialises hypertree bags.  The frame
+    holds interned int codes: candidate rows at each atom are the code
+    rows of the relation, or the bucket of one probed position, and an
+    assignment is decoded to values only when it is emitted.
 
     A homomorphism is a map [h : Var(ψ) → V_D] such that every atom of ψ
     maps to an atom of [D], every constant is sent to its interpretation in
@@ -12,16 +14,18 @@
     homomorphisms), and every inequality [t ≠ t'] of ψ has
     [h(t) ≠ h(t')] — the virtual-relation semantics of Section 2.1.
     Variables occurring only in inequalities range over the whole active
-    domain.
+    domain; a constant interpreted outside it differs from every value
+    there.
 
     This module enumerates; callers that want the bag-semantics *count*
     with cross-component factorisation should use {!Eval}.
 
     Every entry point accepts an optional {!Bagcq_guard.Budget.t}.  When
-    given, one tick is consumed per backtracking node (and per candidate
-    tuple tried at a node), so the search unwinds with
-    {!Bagcq_guard.Budget.Exhausted_} as soon as the budget trips — the
-    worst-case-exponential backtracking tree can never outrun its fuel. *)
+    given, one tick is consumed per candidate row tried at an atom and per
+    domain value tried for an inequality-only variable, so the search
+    unwinds with {!Bagcq_guard.Budget.Exhausted_} as soon as the budget
+    trips — the worst-case-exponential backtracking tree can never outrun
+    its fuel. *)
 
 open Bagcq_relational
 open Bagcq_cq

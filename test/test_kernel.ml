@@ -23,9 +23,9 @@ let u = Build.sym "U" 1
 (* ------------------------------------------------------------------ *)
 
 (* Queries over E/2 and U/1 with up to 3 variables, occasional constants
-   [a]/[b] and at most one inequality — small enough that the reference
-   solver is fast, rich enough to hit every opcode of the compiled plan
-   (constant checks, repeated variables, neq on constants, free
+   [a]/[b] and up to two inequalities — small enough that the reference
+   solver is fast, rich enough to hit every op of the compiled plan
+   (constant checks, repeated variables, neq on constants, one or two
    inequality-only variables). *)
 let random_query st =
   let nvars = 1 + Random.State.int st 3 in
@@ -41,15 +41,18 @@ let random_query st =
         if Random.State.int st 4 = 0 then Build.atom u [ term () ]
         else Build.atom e [ term (); term () ])
   in
+  let neq () =
+    if Random.State.int st 6 = 0 then (Build.c "a", Build.c "b") else (term (), term ())
+  in
   let neqs =
-    if Random.State.int st 2 = 0 then begin
-      let a = term () and b = term () in
-      if Term.equal a b then [] else [ (a, b) ]
-    end
-    else []
+    List.init (Random.State.int st 3) (fun _ -> neq ())
+    |> List.filter (fun (a, b) -> not (Term.equal a b))
   in
   try Some (Build.query atoms ~neqs) with Invalid_argument _ -> None
 
+(* [a] and [b] are interpreted in [0..n+1], often as values no tuple
+   holds, so [a ≠ b] between two distinct such constants is drawn
+   regularly. *)
 let random_db st =
   let n = 1 + Random.State.int st 3 in
   let d = ref (Structure.empty (Schema.make [ e; u ])) in
@@ -61,9 +64,10 @@ let random_db st =
   for _ = 1 to Random.State.int st 3 do
     d := Structure.add_fact !d u [ Value.int (Random.State.int st n) ]
   done;
-  if Random.State.bool st then d := Structure.bind_constant !d "a" (Value.int 0);
   if Random.State.bool st then
-    d := Structure.bind_constant !d "b" (Value.int (Random.State.int st n));
+    d := Structure.bind_constant !d "a" (Value.int (Random.State.int st (n + 2)));
+  if Random.State.bool st then
+    d := Structure.bind_constant !d "b" (Value.int (Random.State.int st (n + 2)));
   !d
 
 let gen_pair =
@@ -212,6 +216,48 @@ let test_order_atoms_prefers_bound () =
     Structure.add_fact (db_of_edges [ (1, 2); (2, 3); (4, 5) ]) u [ Value.int 1 ]
   in
   Alcotest.(check int) "count" (Solver_ref.count q d) (Solver.count q d)
+
+(* Pinned fuel of the compiled join: one tick per candidate row and one
+   per domain value of an inequality-only variable.  The 2-path into K4
+   (loops included) scans 16 edges for [E(x,y)], then the 4 out-edges of
+   [y] for each: 16 + 64 ticks.  [E(x,y) & x != w] on a 3-vertex graph
+   scans 4 edges and tries 3 values of [w] for each: 4 + 12 ticks. *)
+let k4 =
+  db_of_edges
+    (List.concat_map (fun a -> List.init 4 (fun b -> (a, b))) (List.init 4 Fun.id))
+
+let neq_free_q = Build.(query ~neqs:[ (v "x", v "w") ] [ atom e [ v "x"; v "y" ] ])
+let neq_free_db = db_of_edges [ (1, 2); (2, 3); (3, 1); (1, 1) ]
+
+let test_pinned_solver_ticks () =
+  List.iter
+    (fun (name, q, d, count, ticks) ->
+      let b = Budget.create ~fuel:1_000_000 () in
+      Alcotest.(check int) (name ^ " count") count (Solver.count ~budget:b q d);
+      Alcotest.(check int) (name ^ " ticks") ticks (Budget.ticks b))
+    [
+      ( "2-path into K4",
+        Build.(query [ atom e [ v "x"; v "y" ]; atom e [ v "y"; v "z" ] ]),
+        k4, 64, 80 );
+      ("E(x,y) & x != w", neq_free_q, neq_free_db, 8, 16);
+    ]
+
+(* [Eval.count] routes the ≠-only query to backtracking; at every fuel
+   it answers exactly or reports exhaustion, and exactly the pinned
+   16 ticks complete it. *)
+let test_neq_free_fuel_sweep () =
+  (match Decomp.choose neq_free_q with
+  | Decomp.Backtrack -> ()
+  | _ -> Alcotest.fail "inequality-only variables must route to backtracking");
+  for fuel = 1 to 17 do
+    let b = Budget.create ~fuel () in
+    match Budget.protect b (fun () -> Eval.count ~budget:b neq_free_q neq_free_db) with
+    | Ok n ->
+        Alcotest.(check string) (Printf.sprintf "exact at fuel %d" fuel) "8" (Nat.to_string n);
+        Alcotest.(check bool) (Printf.sprintf "fuel %d covers 16 ticks" fuel) true (fuel >= 16)
+    | Error _ ->
+        Alcotest.(check bool) (Printf.sprintf "fuel %d below 16 ticks" fuel) true (fuel < 16)
+  done
 
 let test_cache_invalidated_on_structure_change () =
   let cache = Eval.create_cache () in
@@ -365,6 +411,8 @@ let () =
             test_plan_reuse_across_structures;
           Alcotest.test_case "atom ordering" `Quick test_order_atoms_prefers_bound;
           Alcotest.test_case "neq between constants" `Quick test_neq_between_constants;
+          Alcotest.test_case "pinned solver ticks" `Quick test_pinned_solver_ticks;
+          Alcotest.test_case "≠-only query under every fuel" `Quick test_neq_free_fuel_sweep;
         ] );
       ( "eval-cache",
         [

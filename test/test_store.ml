@@ -116,6 +116,29 @@ let test_rejections () =
   let d, _ = done_exn (Store.snapshot st ~name:"g") in
   Alcotest.(check int) "still one atom" 1 (Structure.total_atoms d)
 
+(* The reported [atoms] is a running count, moved by one per accepted
+   write: after a random script of inserts and deletes over a 3x3 grid of
+   E edges — so duplicate inserts and absent deletes, which are rejected
+   and must not move it, are frequent — it equals a recount of the
+   stored relation. *)
+let test_atoms_bookkeeping () =
+  let st = fresh_store () in
+  create_db st "g" [ (sym_e, tup2 0 1); (sym_g, tup1 2) ];
+  ignore (done_exn (Store.register st ~name:"g" (Parse.parse_exn "E(x,y) & E(y,z)")));
+  let rs = Random.State.make [| 17 |] in
+  let rejections = ref 0 in
+  for _ = 1 to 300 do
+    let tup = tup2 (Random.State.int rs 3) (Random.State.int rs 3) in
+    let write = if Random.State.bool rs then Store.db_insert else Store.db_delete in
+    match write st ~name:"g" sym_e tup with
+    | Store.Done mu ->
+        let d, _ = done_exn (Store.snapshot st ~name:"g") in
+        Alcotest.(check int) "atoms = total_atoms" (Structure.total_atoms d) mu.Store.atoms
+    | Store.Rejected _ -> incr rejections
+    | Store.Exhausted _ -> Alcotest.fail "unexpected exhaustion"
+  done;
+  Alcotest.(check bool) "the script hit rejections" true (!rejections > 50)
+
 (* Component strategies: the acyclic path is delta-maintained, the
    triangle recomputes (only itself), and in a disconnected query the
    untouched component's cached count is reused through the factor
@@ -540,6 +563,7 @@ let () =
           Alcotest.test_case "flow" `Quick test_flow;
           Alcotest.test_case "rejections" `Quick test_rejections;
           Alcotest.test_case "strategies" `Quick test_strategies;
+          Alcotest.test_case "atoms bookkeeping" `Quick test_atoms_bookkeeping;
         ] );
       ( "budget",
         [
