@@ -476,7 +476,7 @@ let exp_guard () =
 
 (* ------------------------------------------------------------------ *)
 (* EXP-KERNEL: compiled solver kernel and the parallel database sweep.  *)
-(* Wall-clock numbers land in BENCH_PR10.json (schema checked by         *)
+(* Wall-clock numbers land in BENCH.json (schema checked by             *)
 (* scripts/check.sh), so the rows use explicit timing rather than       *)
 (* Bechamel: the JSON must be producible in the --json-only fast mode.  *)
 (* ------------------------------------------------------------------ *)
@@ -498,7 +498,7 @@ let write_bench_json path =
   let doc =
     Json.Obj
       [
-        ("bench", Json.Str "BENCH_PR10");
+        ("bench", Json.Str "BENCH");
         ("jobs_available", Json.Int (Domain.recommended_domain_count ()));
         ( "experiments",
           Json.List
@@ -1505,7 +1505,7 @@ let run_benchmarks () =
       | _ -> Printf.printf "  %-42s (no estimate)\n" name)
     (List.sort compare rows)
 
-let default_bench_json_path = "BENCH_PR10.json"
+let default_bench_json_path = "BENCH.json"
 
 (* minimal flag parsing: --json PATH overrides where the row file lands *)
 let bench_json_path =

@@ -105,10 +105,18 @@ let count_memo ?budget cache key d =
       cache.counts := QueryMap.add key c !(cache.counts);
       c
 
+(* A query factored and canonicalised once ([Decomp.factor]): one
+   component list per disjunct, a CQ having exactly one.  Loops that count
+   a fixed query on many structures prepare it once and run
+   [count_prepared] per structure. *)
+type prepared = (Query.t * int) list list
+
+let prepare q = [ Decomp.factor q ]
+let prepare_ucq u = List.map Decomp.factor (Ucq.disjuncts u)
+
 (* Repeated components — the ↑/∧̄ powers — are counted once and raised to
    their multiplicity: the factorised form of Lemma 1. *)
-let count ?budget ?cache q d =
-  let cache = with_cache cache d in
+let count_components ?budget cache comps d =
   let rec go acc = function
     | [] -> acc
     | (comp, mult) :: rest ->
@@ -118,7 +126,19 @@ let count ?budget ?cache q d =
           let c = if mult = 1 then c else Nat.pow c mult in
           go (Nat.mul acc c) rest
   in
-  go Nat.one (Decomp.factor q)
+  go Nat.one comps
+
+(* Disjuncts are summed left to right.  Without a caller-supplied cache
+   each disjunct gets a fresh one, as separate [count] calls would. *)
+let count_prepared ?budget ?cache p d =
+  match p with
+  | [ comps ] -> count_components ?budget (with_cache cache d) comps d
+  | disjuncts ->
+      List.fold_left
+        (fun acc comps -> Nat.add acc (count_components ?budget (with_cache cache d) comps d))
+        Nat.zero disjuncts
+
+let count ?budget ?cache q d = count_prepared ?budget ?cache (prepare q) d
 
 let count_int ?budget ?cache q d = Nat.to_int (count ?budget ?cache q d)
 
@@ -131,21 +151,30 @@ let satisfies ?budget ?cache d q =
       | Dp _ | Wcoj _ | Ghd _ -> not (Nat.is_zero (count_memo ?budget cache comp d)))
     (Decomp.factor q)
 
-let count_pquery_factored ?budget ?cache pq d =
-  List.map (fun (q, e) -> (count ?budget ?cache q d, e)) (Pquery.factors pq)
+type prepared_pquery = (prepared * Nat.t) list
 
-let count_pquery ?budget ?cache pq d =
+let prepare_pquery pq = List.map (fun (q, e) -> (prepare q, e)) (Pquery.factors pq)
+
+let factored_counts ?budget ?cache pp d =
+  List.map (fun (p, e) -> (count_prepared ?budget ?cache p d, e)) pp
+
+let count_pquery_prepared ?budget ?cache pp d =
   List.fold_left
     (fun acc (base, e) -> Nat.mul acc (Nat.pow_nat base e))
     Nat.one
-    (count_pquery_factored ?budget ?cache pq d)
+    (factored_counts ?budget ?cache pp d)
 
-let pquery_geq ?budget ?cache pq d bound =
+let count_pquery_factored ?budget ?cache pq d =
+  factored_counts ?budget ?cache (prepare_pquery pq) d
+
+let count_pquery ?budget ?cache pq d =
+  count_pquery_prepared ?budget ?cache (prepare_pquery pq) d
+
+let pquery_geq_prepared ?budget ?cache pp d bound =
   if Nat.is_zero bound then true
   else begin
     let factored =
-      List.filter (fun (_, e) -> not (Nat.is_zero e))
-        (count_pquery_factored ?budget ?cache pq d)
+      List.filter (fun (_, e) -> not (Nat.is_zero e)) (factored_counts ?budget ?cache pp d)
     in
     if List.exists (fun (base, _) -> Nat.is_zero base) factored then false
     else begin
@@ -172,15 +201,15 @@ let pquery_geq ?budget ?cache pq d bound =
     end
   end
 
+let pquery_geq ?budget ?cache pq d bound =
+  pquery_geq_prepared ?budget ?cache (prepare_pquery pq) d bound
+
 let satisfies_pquery ?budget ?cache d pq =
   List.for_all
     (fun (q, e) -> Nat.is_zero e || satisfies ?budget ?cache d q)
     (Pquery.factors pq)
 
-let count_ucq ?budget ?cache u d =
-  List.fold_left
-    (fun acc q -> Nat.add acc (count ?budget ?cache q d))
-    Nat.zero (Ucq.disjuncts u)
+let count_ucq ?budget ?cache u d = count_prepared ?budget ?cache (prepare_ucq u) d
 
 let ucq_contained_on ?budget ?cache ~small ~big d =
   Nat.compare (count_ucq ?budget ?cache small d) (count_ucq ?budget ?cache big d) <= 0

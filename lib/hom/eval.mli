@@ -52,6 +52,22 @@ val count : ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Query.t -> Structure
     compilation and per-component counts are shared across calls; without
     it each call memoises only within itself (the seed behaviour). *)
 
+type prepared
+(** A query (or a union of queries) factored into canonical components
+    once — the {!Decomp.factor} half of {!count}.  Loops that count one
+    fixed query on many structures, such as counterexample hunts, prepare
+    it once and call {!count_prepared} per structure. *)
+
+val prepare : Query.t -> prepared
+val prepare_ucq : Ucq.t -> prepared
+
+val count_prepared :
+  ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> prepared -> Structure.t -> Nat.t
+(** The counting half of {!count} / {!count_ucq}: [count q d] is
+    [count_prepared (prepare q) d], with the same cache entries, the same
+    kernels and the same budget ticks.  Plans are still looked up only on
+    a count-memo miss. *)
+
 val count_int : ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Query.t -> Structure.t -> int
 (** Convenience for tests; raises [Failure] if the count overflows. *)
 
@@ -76,6 +92,24 @@ val count_pquery_factored :
     materialised.  Anti-cheating arguments (Lemmas 18, 21) only need to
     compare such products against bounds, which is possible without
     expanding them. *)
+
+type prepared_pquery
+(** A power-product query with every factor {!prepare}d. *)
+
+val prepare_pquery : Pquery.t -> prepared_pquery
+
+val count_pquery_prepared :
+  ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> prepared_pquery -> Structure.t -> Nat.t
+(** [count_pquery pq d] is [count_pquery_prepared (prepare_pquery pq) d]. *)
+
+val pquery_geq_prepared :
+  ?budget:Bagcq_guard.Budget.t ->
+  ?cache:cache ->
+  prepared_pquery ->
+  Structure.t ->
+  Nat.t ->
+  bool
+(** [pquery_geq pq d bound] is [pquery_geq_prepared (prepare_pquery pq) d bound]. *)
 
 val pquery_geq :
   ?budget:Bagcq_guard.Budget.t -> ?cache:cache -> Pquery.t -> Structure.t -> Nat.t -> bool

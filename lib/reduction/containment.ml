@@ -12,20 +12,28 @@ let set_contains ?budget ~small ~big () =
 
 let bag_equivalent q1 q2 = Morphism.isomorphic q1 q2
 
-let bag_counts ?budget ?cache ~small ~big d =
-  (Eval.count ?budget ?cache small d, Eval.count ?budget ?cache big d)
+(* The pair helpers are staged: applied to [~small ~big] they factor both
+   queries once, and the closure counts them on each database — the shape
+   every hunt loop wants.  The tuple is written as one expression so both
+   sides are counted in the order a plain [(count small d, count big d)]
+   would use. *)
+let bag_counts ~small ~big =
+  let small = Eval.prepare small and big = Eval.prepare big in
+  fun ?budget ?cache d ->
+    (Eval.count_prepared ?budget ?cache small d, Eval.count_prepared ?budget ?cache big d)
 
-let bag_violation ?budget ?cache ~small ~big d =
-  let cs, cb = bag_counts ?budget ?cache ~small ~big d in
-  Nat.compare cs cb > 0
+let bag_violation ~small ~big =
+  let counts = bag_counts ~small ~big in
+  fun ?budget ?cache d ->
+    let cs, cb = counts ?budget ?cache d in
+    Nat.compare cs cb > 0
 
-let bag_violation_guarded ?cache ~budget ~small ~big d =
-  Bagcq_guard.Outcome.guard
-    ~partial:(fun () -> ())
-    (fun () -> bag_violation ~budget ?cache ~small ~big d)
-
-let bag_violation_pquery ?budget ?cache ~small ~big d =
-  not (Eval.pquery_geq ?budget ?cache big d (Eval.count_pquery ?budget ?cache small d))
+let bag_violation_pquery ~small ~big =
+  let small = Eval.prepare_pquery small and big = Eval.prepare_pquery big in
+  fun ?budget ?cache d ->
+    not
+      (Eval.pquery_geq_prepared ?budget ?cache big d
+         (Eval.count_pquery_prepared ?budget ?cache small d))
 
 (* UCQ containment.  Set semantics is decidable (Sagiv–Yannakakis); the
    counters are registered eagerly so metric dumps always show the family. *)
@@ -81,14 +89,13 @@ let ucq_bag_equivalent u1 u2 =
   in
   match_all (Ucq.disjuncts u1) (Ucq.disjuncts u2)
 
-let ucq_bag_counts ?budget ?cache ~small ~big d =
-  (Eval.count_ucq ?budget ?cache small d, Eval.count_ucq ?budget ?cache big d)
+let ucq_bag_counts ~small ~big =
+  let small = Eval.prepare_ucq small and big = Eval.prepare_ucq big in
+  fun ?budget ?cache d ->
+    (Eval.count_prepared ?budget ?cache small d, Eval.count_prepared ?budget ?cache big d)
 
-let ucq_bag_violation ?budget ?cache ~small ~big d =
-  let cs, cb = ucq_bag_counts ?budget ?cache ~small ~big d in
-  Nat.compare cs cb > 0
-
-let ucq_bag_violation_guarded ?cache ~budget ~small ~big d =
-  Bagcq_guard.Outcome.guard
-    ~partial:(fun () -> ())
-    (fun () -> ucq_bag_violation ~budget ?cache ~small ~big d)
+let ucq_bag_violation ~small ~big =
+  let counts = ucq_bag_counts ~small ~big in
+  fun ?budget ?cache d ->
+    let cs, cb = counts ?budget ?cache d in
+    Nat.compare cs cb > 0

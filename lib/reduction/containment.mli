@@ -24,43 +24,40 @@ val set_contains :
 val bag_equivalent : Query.t -> Query.t -> bool
 (** Chaudhuri–Vardi: syntactic isomorphism. *)
 
+(** {2 Staged pair checks}
+
+    Each helper below takes the query pair first.  Applied to [~small
+    ~big] alone it factors both queries once ({!Bagcq_hom.Eval.prepare})
+    and returns a per-database check, which is how hunts run it on
+    thousands of candidate databases; a full application is the same
+    check on one database.  With [?budget] the exact counts tick it and
+    the call unwinds with {!Bagcq_guard.Budget.Exhausted_} when it trips.
+    With [?cache], plans compile once across calls and components shared
+    between the two sides count once per database. *)
+
 val bag_counts :
-  ?budget:Bagcq_guard.Budget.t ->
-  ?cache:Bagcq_hom.Eval.cache ->
   small:Query.t ->
   big:Query.t ->
+  ?budget:Bagcq_guard.Budget.t ->
+  ?cache:Bagcq_hom.Eval.cache ->
   Structure.t ->
   Nat.t * Nat.t
-(** With [?cache], plans for [small] and [big] compile once across the
-    thousands of candidate databases a hunt checks. *)
+(** [(small(D), big(D))]. *)
 
 val bag_violation :
-  ?budget:Bagcq_guard.Budget.t ->
-  ?cache:Bagcq_hom.Eval.cache ->
   small:Query.t ->
   big:Query.t ->
+  ?budget:Bagcq_guard.Budget.t ->
+  ?cache:Bagcq_hom.Eval.cache ->
   Structure.t ->
   bool
-(** [small(D) > big(D)] — a witness against bag containment.  With
-    [?budget] the two exact counts tick it; the call unwinds with
-    {!Bagcq_guard.Budget.Exhausted_} when it trips. *)
-
-val bag_violation_guarded :
-  ?cache:Bagcq_hom.Eval.cache ->
-  budget:Bagcq_guard.Budget.t ->
-  small:Query.t ->
-  big:Query.t ->
-  Structure.t ->
-  (bool, unit) Bagcq_guard.Outcome.t
-(** Structured variant of {!bag_violation}: [Complete verdict], or
-    [Exhausted ((), reason)] if the budget tripped mid-count — ticks spent
-    remain readable from the budget itself. *)
+(** [small(D) > big(D)] — a witness against bag containment. *)
 
 val bag_violation_pquery :
-  ?budget:Bagcq_guard.Budget.t ->
-  ?cache:Bagcq_hom.Eval.cache ->
   small:Pquery.t ->
   big:Pquery.t ->
+  ?budget:Bagcq_guard.Budget.t ->
+  ?cache:Bagcq_hom.Eval.cache ->
   Structure.t ->
   bool
 (** The power-product variant, decided without materialising counts. *)
@@ -95,30 +92,21 @@ val ucq_bag_equivalent : Ucq.t -> Ucq.t -> bool
     the multisets of isomorphism classes of disjuncts coincide. *)
 
 val ucq_bag_counts :
-  ?budget:Bagcq_guard.Budget.t ->
-  ?cache:Bagcq_hom.Eval.cache ->
   small:Ucq.t ->
   big:Ucq.t ->
+  ?budget:Bagcq_guard.Budget.t ->
+  ?cache:Bagcq_hom.Eval.cache ->
   Structure.t ->
   Nat.t * Nat.t
-(** Summed per-disjunct counts; with [?cache], components shared between
-    disjuncts (of either union) compile and count once. *)
+(** Summed per-disjunct counts, staged like {!bag_counts}; with [?cache],
+    components shared between disjuncts (of either union) compile and
+    count once. *)
 
 val ucq_bag_violation :
-  ?budget:Bagcq_guard.Budget.t ->
-  ?cache:Bagcq_hom.Eval.cache ->
   small:Ucq.t ->
   big:Ucq.t ->
+  ?budget:Bagcq_guard.Budget.t ->
+  ?cache:Bagcq_hom.Eval.cache ->
   Structure.t ->
   bool
 (** [small(D) > big(D)] under bag-union semantics. *)
-
-val ucq_bag_violation_guarded :
-  ?cache:Bagcq_hom.Eval.cache ->
-  budget:Bagcq_guard.Budget.t ->
-  small:Ucq.t ->
-  big:Ucq.t ->
-  Structure.t ->
-  (bool, unit) Bagcq_guard.Outcome.t
-(** Structured variant of {!ucq_bag_violation}, mirroring
-    {!bag_violation_guarded}. *)

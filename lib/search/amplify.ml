@@ -1,11 +1,13 @@
 open Bagcq_bignum
 open Bagcq_relational
 open Bagcq_cq
-module Eval = Bagcq_hom.Eval
+module Containment = Bagcq_reduction.Containment
 
-let separation ~small ~big d =
-  let cs = Eval.count small d and cb = Eval.count big d in
-  if Nat.compare cs cb > 0 then Some (cs, cb) else None
+let separation ~small ~big =
+  let counts = Containment.bag_counts ~small ~big in
+  fun d ->
+    let cs, cb = counts d in
+    if Nat.compare cs cb > 0 then Some (cs, cb) else None
 
 let predicted_k ~base_small ~base_big ~factor =
   if Nat.compare base_small base_big <= 0 then None
@@ -23,16 +25,14 @@ let predicted_k ~base_small ~base_big ~factor =
 let boost_until ?(max_k = 10) ~small ~big ~factor d =
   if Query.has_neqs small || Query.has_neqs big then
     invalid_arg "Amplify.boost_until: inequality-free CQs only (Lemma 22)";
-  match separation ~small ~big d with
-  | None -> None
-  | Some _ ->
-      let rec try_k k =
-        if k > max_k then None
-        else begin
-          let amplified = Ops.power d k in
-          let cs = Eval.count small amplified and cb = Eval.count big amplified in
-          if Nat.compare cs (Nat.mul factor cb) >= 0 then Some (amplified, k)
-          else try_k (k + 1)
-        end
-      in
-      try_k 1
+  let counts = Containment.bag_counts ~small ~big in
+  let rec try_k k =
+    if k > max_k then None
+    else begin
+      let amplified = Ops.power d k in
+      let cs, cb = counts amplified in
+      if Nat.compare cs (Nat.mul factor cb) >= 0 then Some (amplified, k) else try_k (k + 1)
+    end
+  in
+  let cs, cb = counts d in
+  if Nat.compare cs cb > 0 then try_k 1 else None

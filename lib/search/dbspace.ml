@@ -29,41 +29,56 @@ let fold_bindings schema ~size f init base =
   in
   go constants base init
 
+(* The databases of one domain size, one per subset (mask) of the
+   potential atoms, crossed with every binding of the constants when
+   [with_constants]; [caller] names the entry point in the cap error. *)
+type space = {
+  schema : Schema.t;
+  size : int;
+  with_constants : bool;
+  atoms : (Symbol.t * Tuple.t) array;
+  base : Structure.t;
+}
+
+let space ~caller ~with_constants schema ~size =
+  let atoms = Array.of_list (potential_atoms schema ~size) in
+  let n = Array.length atoms in
+  if n > max_potential_atoms then
+    invalid_arg
+      (Printf.sprintf "Dbspace.%s: %d potential atoms exceeds the cap of %d" caller n
+         max_potential_atoms);
+  { schema; size; with_constants; atoms; base = Structure.empty schema }
+
+let masks sp = 1 lsl Array.length sp.atoms
+
+(* Fold [f] over the candidates of one mask. *)
+let fold_mask sp mask f acc =
+  let d = ref sp.base in
+  for i = 0 to Array.length sp.atoms - 1 do
+    if mask land (1 lsl i) <> 0 then begin
+      let sym, tup = sp.atoms.(i) in
+      d := Structure.add_atom !d sym tup
+    end
+  done;
+  if sp.with_constants then fold_bindings sp.schema ~size:sp.size f acc !d else f acc !d
+
 (* one domain size: every subset of the potential atoms (crossed with the
    constant bindings).  The budget, when present, is ticked once per
    candidate database *before* the callback runs, so enumeration can never
    outrun its fuel even when the callback is cheap. *)
 let fold_size ?budget ~with_constants schema ~size f acc0 =
-  let atoms = Array.of_list (potential_atoms schema ~size) in
-  let n = Array.length atoms in
-  if n > max_potential_atoms then
-    invalid_arg
-      (Printf.sprintf "Dbspace.fold: %d potential atoms exceeds the cap of %d" n
-         max_potential_atoms);
+  let sp = space ~caller:"fold" ~with_constants schema ~size in
   let tick =
     match budget with None -> fun () -> () | Some b -> fun () -> Budget.tick b
   in
-  let base = Structure.empty schema in
   let acc = ref acc0 in
-  for mask = 0 to (1 lsl n) - 1 do
-    let d = ref base in
-    for i = 0 to n - 1 do
-      if mask land (1 lsl i) <> 0 then begin
-        let sym, tup = atoms.(i) in
-        d := Structure.add_atom !d sym tup
-      end
-    done;
-    if with_constants then
-      acc :=
-        fold_bindings schema ~size
-          (fun acc d ->
-            tick ();
-            f acc d)
-          !acc !d
-    else begin
-      tick ();
-      acc := f !acc !d
-    end
+  for mask = 0 to masks sp - 1 do
+    acc :=
+      fold_mask sp mask
+        (fun acc d ->
+          tick ();
+          f acc d)
+        !acc
   done;
   !acc
 
@@ -144,33 +159,18 @@ type find_worker = {
    remaining chunk numbers without doing work.  Budget exhaustion in any
    shard stops the whole sweep at the next chunk boundaries. *)
 let sweep_size_par ~workers ~chunk ~with_constants schema ~size pred =
-  let atoms = Array.of_list (potential_atoms schema ~size) in
-  let n = Array.length atoms in
-  if n > max_potential_atoms then
-    invalid_arg
-      (Printf.sprintf "Dbspace.find_guarded_par: %d potential atoms exceeds the cap of %d"
-         n max_potential_atoms);
-  let nmasks = 1 lsl n in
-  let base = Structure.empty schema in
+  let sp = space ~caller:"find_guarded_par" ~with_constants schema ~size in
   let best_lo = Atomic.make max_int in
   let body w lo hi =
     if Atomic.get best_lo <= lo then `Continue
     else begin
       try
         for mask = lo to hi - 1 do
-          let d = ref base in
-          for i = 0 to n - 1 do
-            if mask land (1 lsl i) <> 0 then begin
-              let sym, tup = atoms.(i) in
-              d := Structure.add_atom !d sym tup
-            end
-          done;
-          let bidx = ref 0 in
-          let test db =
+          let test bidx db =
             Budget.tick w.w_budget;
             w.w_tested <- w.w_tested + 1;
             if pred ~budget:w.w_budget db then begin
-              w.w_found <- Some ((mask, !bidx), db);
+              w.w_found <- Some ((mask, bidx), db);
               (* CAS-min: later chunks need not be scanned by anyone *)
               let rec lower () =
                 let cur = Atomic.get best_lo in
@@ -179,10 +179,9 @@ let sweep_size_par ~workers ~chunk ~with_constants schema ~size pred =
               lower ();
               raise_notrace Stop
             end;
-            incr bidx
+            bidx + 1
           in
-          if with_constants then fold_bindings schema ~size (fun () db -> test db) () !d
-          else test !d
+          ignore (fold_mask sp mask test 0)
         done;
         `Continue
       with
@@ -190,7 +189,7 @@ let sweep_size_par ~workers ~chunk ~with_constants schema ~size pred =
       | Budget.Exhausted_ _ -> `Stop
     end
   in
-  Pool.sweep ~chunk ~n:nmasks ~workers ~body ()
+  Pool.sweep ~chunk ~n:(masks sp) ~workers ~body ()
 
 let find_guarded_par ~budget ?(jobs = 1) ?(chunk = Pool.default_chunk)
     ?(with_constants = true) schema ~max_size pred =
@@ -266,34 +265,20 @@ let fold_par ?budget ?(jobs = 1) ?(chunk = Pool.default_chunk) ?(with_constants 
   in
   (try
      for size = 1 to max_size do
-       let atoms = Array.of_list (potential_atoms schema ~size) in
-       let n = Array.length atoms in
-       if n > max_potential_atoms then
-         invalid_arg
-           (Printf.sprintf "Dbspace.fold_par: %d potential atoms exceeds the cap of %d" n
-              max_potential_atoms);
-       let base = Structure.empty schema in
+       let sp = space ~caller:"fold_par" ~with_constants schema ~size in
        let body w lo hi =
          try
            for mask = lo to hi - 1 do
-             let d = ref base in
-             for i = 0 to n - 1 do
-               if mask land (1 lsl i) <> 0 then begin
-                 let sym, tup = atoms.(i) in
-                 d := Structure.add_atom !d sym tup
-               end
-             done;
-             let test db =
-               Budget.tick w.f_budget;
-               f ~budget:w.f_budget w.f_state db
-             in
-             if with_constants then fold_bindings schema ~size (fun () db -> test db) () !d
-             else test !d
+             fold_mask sp mask
+               (fun () db ->
+                 Budget.tick w.f_budget;
+                 f ~budget:w.f_budget w.f_state db)
+               ()
            done;
            `Continue
          with Budget.Exhausted_ _ -> `Stop
        in
-       Pool.sweep ~chunk ~n:(1 lsl n) ~workers ~body ()
+       Pool.sweep ~chunk ~n:(masks sp) ~workers ~body ()
      done
    with e ->
      finish ();

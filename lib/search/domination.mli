@@ -16,7 +16,8 @@ open Bagcq_relational
 open Bagcq_cq
 
 val log_ratio : small:Query.t -> big:Query.t -> Structure.t -> float option
-(** [log ψ_s(D) / log ψ_b(D)], when both counts are ≥ 2. *)
+(** [log ψ_s(D) / log ψ_b(D)], when both counts are ≥ 2.  Staged:
+    [log_ratio ~small ~big] factors both queries once. *)
 
 type estimate = {
   lower_bound : float;  (** best observed ratio; 0.0 when nothing qualified *)

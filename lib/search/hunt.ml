@@ -27,8 +27,10 @@ type progress = {
 (* Both hunt flavours — CQ pairs and UCQ pairs — run the same two phases
    (exhaustive sweep over tiny domains, then randomised sampling); only the
    schema and the violation predicate differ, so the phases are written
-   against this record.  Calling [violation] with no budget and no cache is
-   the exact re-verification of a candidate witness. *)
+   against this record.  [violation] is the staged containment check: the
+   pair is factored once, when the target is built, and every candidate
+   database of both phases only counts.  Calling it with no budget and no
+   cache is the exact re-verification of a candidate witness. *)
 type target = {
   schema : Schema.t;
   violation : ?budget:Budget.t -> ?cache:Eval.cache -> Structure.t -> bool;
@@ -37,16 +39,13 @@ type target = {
 let cq_target ~small ~big =
   {
     schema = Sampler.schema_of_pair small big;
-    violation =
-      (fun ?budget ?cache d -> Containment.bag_violation ?budget ?cache ~small ~big d);
+    violation = Containment.bag_violation ~small ~big;
   }
 
 let ucq_target ~small ~big =
   {
     schema = Schema.union (Bagcq_cq.Ucq.schema small) (Bagcq_cq.Ucq.schema big);
-    violation =
-      (fun ?budget ?cache d ->
-        Containment.ucq_bag_violation ?budget ?cache ~small ~big d);
+    violation = Containment.ucq_bag_violation ~small ~big;
   }
 
 let verified ~small ~big d = Containment.bag_violation ~small ~big d
@@ -62,12 +61,26 @@ let feasible_size schema requested =
   done;
   Stdlib.max 0 !size
 
-(* One evaluation cache per domain: worker predicates running on spawned
-   domains each get their own (plans compile once per domain, counts
-   memoise per structure), with no cross-domain sharing to synchronise.
-   UCQ disjuncts sharing components with each other automatically share
-   their plan/count entries through the same cache. *)
-let dls_cache : Eval.cache Domain.DLS.key = Domain.DLS.new_key Eval.create_cache
+(* Evaluation caches for one parallel hunt, one per worker domain: each
+   worker plans and memoises without synchronising with the others, and
+   the caches die with the hunt, so a long-running server does not keep
+   the plans of every component it ever hunted.  UCQ disjuncts sharing
+   components share their plan/count entries through the same cache.
+   Only the owning domain adds its entry, so the CAS retries only when
+   another worker registers at the same moment. *)
+let per_domain_caches () =
+  let caches = Atomic.make [] in
+  let rec get () =
+    let self = (Domain.self () :> int) in
+    let seen = Atomic.get caches in
+    match List.assoc_opt self seen with
+    | Some cache -> cache
+    | None ->
+        let cache = Eval.create_cache () in
+        if Atomic.compare_and_set caches seen ((self, cache) :: seen) then cache
+        else get ()
+  in
+  get
 
 let serial_guarded ~strategy ~budget ~target () =
   let schema = target.schema in
@@ -139,10 +152,8 @@ let serial_guarded ~strategy ~budget ~target () =
 let parallel_guarded ~strategy ~jobs ~budget ~target () =
   if jobs < 1 then invalid_arg "Hunt.counterexample_guarded: jobs must be >= 1";
   let schema = target.schema in
-  let pred ~budget d =
-    let cache = Domain.DLS.get dls_cache in
-    target.violation ~budget ~cache d
-  in
+  let cache = per_domain_caches () in
+  let pred ~budget d = target.violation ~budget ~cache:(cache ()) d in
   let witness = ref None in
   let exhaustive_complete = ref false in
   let tested_exhaustive = ref 0 in

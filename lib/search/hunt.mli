@@ -62,11 +62,13 @@ val counterexample_guarded :
     exhaustive sweep finished, and any witness found (which always
     re-verifies).
 
+    Both queries are factored once per hunt, not once per candidate
+    database ({!Bagcq_reduction.Containment.bag_violation} is staged).
     Without [?jobs] the hunt runs the seed's serial phases on the calling
     domain.  With [~jobs:n] it runs the chunked parallel phases
     ({!Dbspace.find_guarded_par} and {!Sampler.sample_batches_guarded})
-    over [n] worker domains, each with its own budget shard and evaluation
-    cache; ticks are summed back into [budget], exhaustion in any shard
+    over [n] worker domains, each with its own budget shard and an
+    evaluation cache that lives for this hunt only; ticks are summed back into [budget], exhaustion in any shard
     stops the hunt, and the witness (lowest candidate index) is the same
     for every [n].  [~jobs:1] uses the same chunked phases inline — note
     its random phase draws a {e different} (equally deterministic) sample

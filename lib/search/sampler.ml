@@ -69,12 +69,13 @@ let sample_stream_guarded ~budget config schema f =
 let schema_of_pair q1 q2 = Schema.union (Query.schema q1) (Query.schema q2)
 
 let hunt_queries ?(config = default) ?budget ~small ~big () =
-  sample_stream ?budget config (schema_of_pair small big) (fun d ->
-      Containment.bag_violation ?budget ~small ~big d)
+  let violation = Containment.bag_violation ~small ~big in
+  sample_stream ?budget config (schema_of_pair small big) (fun d -> violation ?budget d)
 
 let hunt_queries_guarded ?(config = default) ~budget ~small ~big () =
+  let violation = Containment.bag_violation ~small ~big in
   sample_stream_guarded ~budget config (schema_of_pair small big) (fun d ->
-      Containment.bag_violation ~budget ~small ~big d)
+      violation ~budget d)
 
 let pquery_schema pq =
   List.fold_left
@@ -83,8 +84,8 @@ let pquery_schema pq =
 
 let hunt_pqueries ?(config = default) ?budget ~small ~big () =
   let schema = Schema.union (pquery_schema small) (pquery_schema big) in
-  sample_stream ?budget config schema (fun d ->
-      Containment.bag_violation_pquery ?budget ~small ~big d)
+  let violation = Containment.bag_violation_pquery ~small ~big in
+  sample_stream ?budget config schema (fun d -> violation ?budget d)
 
 let check_all ?(config = default) ?budget ~schema pred =
   sample_stream ?budget config schema (fun d -> not (pred d))

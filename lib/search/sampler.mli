@@ -53,7 +53,9 @@ val hunt_queries :
   big:Query.t ->
   unit ->
   outcome
-(** Search for [small(D) > big(D)]. *)
+(** Search for [small(D) > big(D)].  Both queries are factored once per
+    call ({!Bagcq_reduction.Containment.bag_violation} is staged), not
+    once per sample; the same holds for the two functions below. *)
 
 val hunt_queries_guarded :
   ?config:config ->

@@ -29,28 +29,28 @@ for jobs in 1 2; do
   BAGCQ_JOBS=$jobs ./_build/default/test/test_parallel.exe >/dev/null
 done
 
-echo "== BENCH_PR10.json schema =="
+echo "== BENCH.json schema =="
 dune exec bench/main.exe -- --json-only >/dev/null
-grep -o '"[a-z_0-9]*":' BENCH_PR10.json | sort -u | tr -d '":' \
-  | diff scripts/bench_pr10_keys.txt - \
-  || { echo "BENCH_PR10.json keys drifted from scripts/bench_pr10_keys.txt" >&2; exit 1; }
-grep -q '"wcoj_2x_bar": true' BENCH_PR10.json \
+grep -o '"[a-z_0-9]*":' BENCH.json | sort -u | tr -d '":' \
+  | diff scripts/bench_keys.txt - \
+  || { echo "BENCH.json keys drifted from scripts/bench_keys.txt" >&2; exit 1; }
+grep -q '"wcoj_2x_bar": true' BENCH.json \
   || { echo "wcoj engine bar: kernel-cycle8-on-K5 not >= 2x over backtracking" >&2; exit 1; }
-grep -q '"wcoj_5x_bar": true' BENCH_PR10.json \
+grep -q '"wcoj_5x_bar": true' BENCH.json \
   || { echo "wcoj bar: wcoj-triangles not >= 5x over backtracking" >&2; exit 1; }
-grep -q '"ghd_5x_bar": true' BENCH_PR10.json \
+grep -q '"ghd_5x_bar": true' BENCH.json \
   || { echo "ghd bar: ghd-fused-6-cycles not >= 5x over the best flat kernel" >&2; exit 1; }
-grep -q '"store_delta_bar": true' BENCH_PR10.json \
+grep -q '"store_delta_bar": true' BENCH.json \
   || { echo "store bar: single-tuple delta not >= 10x over full recompute" >&2; exit 1; }
-grep -q '"differential_ok": true' BENCH_PR10.json \
+grep -q '"differential_ok": true' BENCH.json \
   || { echo "store bench: maintained count drifted from the reference solver" >&2; exit 1; }
-grep -q '"contained": true' BENCH_PR10.json \
+grep -q '"contained": true' BENCH.json \
   || { echo "ucq bench: forall-exists decision on the 6-disjunct pair failed" >&2; exit 1; }
-grep -q '"reverse_refused": true' BENCH_PR10.json \
+grep -q '"reverse_refused": true' BENCH.json \
   || { echo "ucq bench: reverse containment direction not refused" >&2; exit 1; }
-grep -q '"violated": true' BENCH_PR10.json \
+grep -q '"violated": true' BENCH.json \
   || { echo "ucq bench: hunt did not find the known bag-UCQ violation" >&2; exit 1; }
-grep -q '"solver_ref_agrees": true' BENCH_PR10.json \
+grep -q '"solver_ref_agrees": true' BENCH.json \
   || { echo "ucq bench: witness counts drifted from the reference solver" >&2; exit 1; }
 
 echo "== serve --stdio answers, survives malformed input, dumps metrics =="

@@ -131,6 +131,58 @@ let prop_power_matches_reference =
          Nat.equal (Eval.count p d) (Nat.of_int (Solver_ref.count p d))
          && Nat.equal (Eval.count p d) (Nat.pow (Eval.count theta d) k)))
 
+(* Hunts prepare each query once and count it on many databases.  The
+   prepared path must be the plain path: equal counts and equal budget
+   ticks, for θ↑k powers (∧̄ copies), ≠ atoms, a UCQ, and two queries
+   sharing one cache across several databases. *)
+let gen_prepared_case =
+  QCheck.make
+    ~print:(fun (theta, k, other, ds) ->
+      Format.asprintf "theta: %a@.k: %d@.other: %a@.dbs: %a" Query.pp theta k Query.pp
+        other
+        (Format.pp_print_list Structure.pp)
+        ds)
+    (fun st ->
+      let rec q () = match random_query st with Some q -> q | None -> q () in
+      let theta = q () in
+      (theta, 1 + Random.State.int st 3, q (), List.init 3 (fun _ -> random_db st)))
+
+let prop_prepared_matches_plain =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"prepared count = plain count, ticks included" ~count:500
+       gen_prepared_case (fun (theta, k, other, ds) ->
+         let small = Query.power theta k and big = Query.dconj theta other in
+         let union = Ucq.of_disjuncts [ small; big; theta ] in
+         let plain_budget = Budget.unlimited () and plain_cache = Eval.create_cache () in
+         (* a union counts as the sum of its disjuncts' counts *)
+         let sum count = List.fold_left (fun acc q -> Nat.add acc (count q)) Nat.zero in
+         let plain d =
+           let budget = plain_budget and cache = plain_cache in
+           [
+             Eval.count ~budget ~cache small d;
+             Eval.count ~budget ~cache big d;
+             sum (fun q -> Eval.count ~budget ~cache q d) (Ucq.disjuncts union);
+             Eval.count ~budget small d;
+             sum (fun q -> Eval.count ~budget q d) (Ucq.disjuncts union);
+           ]
+         in
+         let prepared_budget = Budget.unlimited () and prepared_cache = Eval.create_cache () in
+         let p_small = Eval.prepare small and p_big = Eval.prepare big in
+         let p_union = Eval.prepare_ucq union in
+         let prepared d =
+           let budget = prepared_budget and cache = prepared_cache in
+           [
+             Eval.count_prepared ~budget ~cache p_small d;
+             Eval.count_prepared ~budget ~cache p_big d;
+             Eval.count_prepared ~budget ~cache p_union d;
+             Eval.count_prepared ~budget p_small d;
+             Eval.count_prepared ~budget p_union d;
+           ]
+         in
+         List.for_all (fun d -> List.for_all2 Nat.equal (plain d) (prepared d)) ds
+         && Budget.ticks plain_budget = Budget.ticks prepared_budget
+         && Eval.cache_stats plain_cache = Eval.cache_stats prepared_cache))
+
 (* Deliberately acyclic queries: random trees over the variables, so the
    GYO reduction must always classify them as DP — the property pins both
    the classification and the DP's counts. *)
@@ -390,6 +442,7 @@ let () =
           prop_eval_matches_reference;
           prop_power_matches_reference;
           prop_acyclic_dp_matches_reference;
+          prop_prepared_matches_plain;
         ] );
       ( "planner",
         [

@@ -263,6 +263,88 @@ let test_fold_par_totals_independent_of_jobs () =
   Alcotest.(check int) "jobs=2 same violations" t1 (totals 2);
   Alcotest.(check int) "jobs=4 same violations" t1 (totals 4)
 
+(* ------------------------------------------------------------------ *)
+(* Fuel model of a held hunt                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Two containments that hold, so both phases run to the end: exhaustive
+   size 3 (530 databases over one binary symbol) then 200 samples.  The
+   pinned figures are the fuel model — one tick per candidate plus the
+   kernels' ticks — and must not move when the evaluation path changes:
+   on a held pair every database is tested, so the totals are the same
+   for every jobs count. *)
+let pin_strategy =
+  { Hunt.exhaustive_max_size = 3; sampler = { Sampler.default with Sampler.samples = 200 } }
+
+let triangle = Parse.parse_exn "E(x,y) & E(y,z) & E(z,x)"
+let triangle_up2 = Parse.parse_exn "E(x,y) & E(y,z) & E(z,x) & E(a,b) & E(b,c) & E(c,a)"
+let ucq_small = Parse.parse_ucq_exn "E(x,y) & E(y,z)"
+let ucq_big = Parse.parse_ucq_exn "E(x,y) & E(y,z) | E(x,y) & E(y,z) & E(u,u)"
+
+let pinned_hunt name hunt ~ticks ~tested ~random =
+  let budget = Budget.unlimited () in
+  match hunt ~budget with
+  | Outcome.Complete (report, progress) ->
+      Alcotest.(check bool) (name ^ ": no witness") true (report.Hunt.witness = None);
+      Alcotest.(check bool) (name ^ ": exhaustive complete") true
+        report.Hunt.exhaustive_complete;
+      Alcotest.(check int) (name ^ ": ticks_spent") ticks progress.Hunt.ticks_spent;
+      Alcotest.(check int) (name ^ ": databases_tested") tested
+        progress.Hunt.databases_tested;
+      Alcotest.(check int) (name ^ ": tested_random") random report.Hunt.tested_random
+  | Outcome.Exhausted _ -> Alcotest.fail (name ^ ": unlimited budget exhausted")
+
+let test_pinned_fuel_model () =
+  let strategy = pin_strategy in
+  List.iter
+    (fun (name, jobs, ticks) ->
+      pinned_hunt ("cq " ^ name)
+        (fun ~budget ->
+          Hunt.counterexample_guarded ~strategy ?jobs ~budget ~small:triangle
+            ~big:triangle_up2 ())
+        ~ticks ~tested:730 ~random:200)
+    [ ("serial", None, 18874); ("jobs=1", Some 1, 18747); ("jobs=2", Some 2, 18747) ];
+  List.iter
+    (fun (name, jobs, ticks) ->
+      pinned_hunt ("ucq " ^ name)
+        (fun ~budget ->
+          Hunt.ucq_counterexample_guarded ~strategy ?jobs ~budget ~small:ucq_small
+            ~big:ucq_big ())
+        ~ticks ~tested:730 ~random:200)
+    [ ("serial", None, 11989); ("jobs=1", Some 1, 11923); ("jobs=2", Some 2, 11923) ];
+  let unguarded = Hunt.counterexample ~strategy ~small:triangle ~big:triangle_up2 () in
+  Alcotest.(check int) "cq unguarded: tested_random" 200 unguarded.Hunt.tested_random;
+  let unguarded = Hunt.ucq_counterexample ~strategy ~small:ucq_small ~big:ucq_big () in
+  Alcotest.(check int) "ucq unguarded: tested_random" 200 unguarded.Hunt.tested_random
+
+(* Worker caches live for one hunt: a second identical hunt on the same
+   domain plans its components cold again, so a long-running server's
+   plan maps do not grow with every component it has ever hunted. *)
+let test_worker_cache_per_hunt () =
+  let module Metrics = Bagcq_obs.Metrics in
+  let selected () =
+    List.fold_left
+      (fun acc name -> acc + Metrics.counter_value (Metrics.counter Metrics.global name))
+      0
+      [ "plan_dp_selected"; "plan_wcoj_selected"; "plan_ghd_selected"; "plan_fallback" ]
+  in
+  let small = Parse.parse_exn "G(x,y) & G(y,z) & G(z,x)" in
+  let big = Parse.parse_exn "G(x,y) & G(y,z) & G(z,x) & G(a,a)" in
+  let strategy =
+    { Hunt.exhaustive_max_size = 2; sampler = { Sampler.default with Sampler.samples = 8 } }
+  in
+  List.iter
+    (fun run ->
+      let before = selected () in
+      ignore
+        (Hunt.counterexample_guarded ~strategy ~jobs:1 ~budget:(Budget.unlimited ())
+           ~small ~big ());
+      Alcotest.(check bool)
+        (Printf.sprintf "hunt %d plans cold" run)
+        true
+        (selected () > before))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -293,5 +375,7 @@ let () =
             test_parallel_matches_serial_hunt;
           Alcotest.test_case "fold_par totals" `Quick
             test_fold_par_totals_independent_of_jobs;
+          Alcotest.test_case "pinned fuel model" `Quick test_pinned_fuel_model;
+          Alcotest.test_case "worker cache per hunt" `Quick test_worker_cache_per_hunt;
         ] );
     ]
