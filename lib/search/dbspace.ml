@@ -1,6 +1,7 @@
 open Bagcq_relational
 module Budget = Bagcq_guard.Budget
 module Outcome = Bagcq_guard.Outcome
+module Pool = Bagcq_parallel.Pool
 
 let max_potential_atoms = 22
 
@@ -14,8 +15,6 @@ let potential_atoms schema ~size =
     (Schema.symbols schema)
 
 let count_space schema ~size = List.length (potential_atoms schema ~size)
-
-exception Stop
 
 (* enumerate constant bindings: each constant to each domain element *)
 let fold_bindings schema ~size f init base =
@@ -62,187 +61,52 @@ let fold_mask sp mask f acc =
   done;
   if sp.with_constants then fold_bindings sp.schema ~size:sp.size f acc !d else f acc !d
 
-(* one domain size: every subset of the potential atoms (crossed with the
-   constant bindings).  The budget, when present, is ticked once per
+(* every subset of the potential atoms of each domain size (crossed with
+   the constant bindings).  The budget, when present, is ticked once per
    candidate database *before* the callback runs, so enumeration can never
    outrun its fuel even when the callback is cheap. *)
-let fold_size ?budget ~with_constants schema ~size f acc0 =
-  let sp = space ~caller:"fold" ~with_constants schema ~size in
+let fold ?budget ?(with_constants = true) schema ~max_size f init =
   let tick =
     match budget with None -> fun () -> () | Some b -> fun () -> Budget.tick b
   in
-  let acc = ref acc0 in
-  for mask = 0 to masks sp - 1 do
-    acc :=
-      fold_mask sp mask
-        (fun acc d ->
-          tick ();
-          f acc d)
-        !acc
-  done;
-  !acc
-
-let fold ?budget ?(with_constants = true) schema ~max_size f init =
   let acc = ref init in
   for size = 1 to max_size do
-    acc := fold_size ?budget ~with_constants schema ~size f !acc
+    let sp = space ~caller:"fold" ~with_constants schema ~size in
+    for mask = 0 to masks sp - 1 do
+      acc :=
+        fold_mask sp mask
+          (fun acc d ->
+            tick ();
+            f acc d)
+          !acc
+    done
   done;
   !acc
-
-let exists ?budget ?with_constants schema ~max_size pred =
-  try
-    ignore
-      (fold ?budget ?with_constants schema ~max_size
-         (fun () d -> if pred d then raise_notrace Stop)
-         ());
-    false
-  with Stop -> true
-
-let find ?budget ?with_constants schema ~max_size pred =
-  let result = ref None in
-  (try
-     ignore
-       (fold ?budget ?with_constants schema ~max_size
-          (fun () d ->
-            if pred d then begin
-              result := Some d;
-              raise_notrace Stop
-            end)
-          ())
-   with Stop -> ());
-  !result
 
 type stats = {
   databases_tested : int;
   largest_size_completed : int;
 }
 
-let find_guarded ~budget ?(with_constants = true) schema ~max_size pred =
-  let tested = ref 0 and completed = ref 0 and result = ref None in
-  let stats () = { databases_tested = !tested; largest_size_completed = !completed } in
-  Outcome.guard ~partial:stats (fun () ->
-      (try
-         for size = 1 to max_size do
-           ignore
-             (fold_size ~budget ~with_constants schema ~size
-                (fun () d ->
-                  incr tested;
-                  if pred d then begin
-                    result := Some d;
-                    raise_notrace Stop
-                  end)
-                ());
-           completed := size
-         done
-       with Stop -> ());
-      (!result, stats ()))
-
-(* ------------------------------------------------------------------ *)
-(* Parallel sweeps                                                     *)
-(* ------------------------------------------------------------------ *)
-
-module Pool = Bagcq_parallel.Pool
-
-type find_worker = {
-  w_budget : Budget.t;
-  mutable w_tested : int;
-  (* first witness this worker saw, with its global candidate index
-     (mask, binding) — the cross-worker minimum is the serial witness *)
-  mutable w_found : ((int * int) * Structure.t) option;
-}
-
-(* One domain size, masks fanned over the workers.  Early exit on a witness
-   is made deterministic with [best_lo]: the chunk-start of the best
-   witness so far.  A worker that finds a witness stops (every chunk it
-   could still claim is higher-numbered); other workers finish the chunk
-   they are on — it may hold an earlier witness — and then skim the
-   remaining chunk numbers without doing work.  Budget exhaustion in any
-   shard stops the whole sweep at the next chunk boundaries. *)
-let sweep_size_par ~workers ~chunk ~with_constants schema ~size pred =
-  let sp = space ~caller:"find_guarded_par" ~with_constants schema ~size in
-  let best_lo = Atomic.make max_int in
-  let body w lo hi =
-    if Atomic.get best_lo <= lo then `Continue
-    else begin
-      try
-        for mask = lo to hi - 1 do
-          let test bidx db =
-            Budget.tick w.w_budget;
-            w.w_tested <- w.w_tested + 1;
-            if pred ~budget:w.w_budget db then begin
-              w.w_found <- Some ((mask, bidx), db);
-              (* CAS-min: later chunks need not be scanned by anyone *)
-              let rec lower () =
-                let cur = Atomic.get best_lo in
-                if lo < cur && not (Atomic.compare_and_set best_lo cur lo) then lower ()
-              in
-              lower ();
-              raise_notrace Stop
-            end;
-            bidx + 1
-          in
-          ignore (fold_mask sp mask test 0)
-        done;
-        `Continue
-      with
-      | Stop -> `Continue (* witness recorded; skim remaining chunks *)
-      | Budget.Exhausted_ _ -> `Stop
-    end
-  in
-  Pool.sweep ~chunk ~n:(masks sp) ~workers ~body ()
-
 let find_guarded_par ~budget ?(jobs = 1) ?(chunk = Pool.default_chunk)
     ?(with_constants = true) schema ~max_size pred =
-  if jobs < 1 then invalid_arg "Dbspace.find_guarded_par: jobs must be >= 1";
-  let pool = if jobs = 1 then None else Some (Budget.shard_pool budget) in
-  let workers =
-    Array.init jobs (fun _ ->
-        {
-          w_budget = (match pool with None -> budget | Some p -> Budget.shard p);
-          w_tested = 0;
-          w_found = None;
-        })
+  (* one round per domain size; a mask's candidates are its constant
+     bindings, so the witness is the first (mask, binding) pair *)
+  let round r =
+    let sp = space ~caller:"find_guarded_par" ~with_constants schema ~size:(r + 1) in
+    (masks sp, fun _ mask k -> fold_mask sp mask (fun () d -> k d) ())
   in
-  let completed = ref 0 in
-  let stats () =
-    {
-      databases_tested = Array.fold_left (fun a w -> a + w.w_tested) 0 workers;
-      largest_size_completed = !completed;
-    }
+  let r =
+    First_witness.run ~caller:"Dbspace.find_guarded_par" ~budget ~jobs ~chunk
+      ~rounds:max_size round pred
   in
-  let finish () =
-    match pool with
-    | None -> ()
-    | Some _ -> Array.iter (fun w -> Budget.absorb w.w_budget ~into:budget) workers
+  let stats =
+    { databases_tested = r.tested; largest_size_completed = r.rounds_completed }
   in
-  let result = ref None and tripped = ref None in
-  (try
-     let size = ref 1 in
-     while !size <= max_size && !result = None && !tripped = None do
-       sweep_size_par ~workers ~chunk ~with_constants schema ~size:!size pred;
-       Array.iter
-         (fun w ->
-           match (w.w_found, !result) with
-           | Some (i, d), None -> result := Some (i, d)
-           | Some (i, d), Some (j, _) when i < j -> result := Some (i, d)
-           | _ -> ())
-         workers;
-       Array.iter
-         (fun w -> if !tripped = None then tripped := Budget.tripped w.w_budget)
-         workers;
-       if !result = None && !tripped = None then begin
-         completed := !size;
-         incr size
-       end
-     done
-   with e ->
-     finish ();
-     raise e);
-  finish ();
-  match (!result, !tripped) with
-  | Some (_, d), _ -> Outcome.Complete (Some d, stats ())
-  | None, Some r -> Outcome.Exhausted (stats (), r)
-  | None, None -> Outcome.Complete (None, stats ())
+  match (r.witness, r.tripped) with
+  | Some d, _ -> Outcome.Complete (Some d, stats)
+  | None, Some reason -> Outcome.Exhausted (stats, reason)
+  | None, None -> Outcome.Complete (None, stats)
 
 type ('w) fold_worker = { f_budget : Budget.t; f_state : 'w }
 

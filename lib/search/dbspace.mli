@@ -31,55 +31,25 @@ val fold :
     ticked once per candidate database; when it trips, the fold unwinds
     with {!Bagcq_guard.Budget.Exhausted_}. *)
 
-val exists :
-  ?budget:Bagcq_guard.Budget.t ->
-  ?with_constants:bool ->
-  Schema.t ->
-  max_size:int ->
-  (Structure.t -> bool) ->
-  bool
-
-val find :
-  ?budget:Bagcq_guard.Budget.t ->
-  ?with_constants:bool ->
-  Schema.t ->
-  max_size:int ->
-  (Structure.t -> bool) ->
-  Structure.t option
-
 type stats = {
   databases_tested : int;  (** candidate databases handed to the predicate *)
   largest_size_completed : int;
       (** every database of this domain size (and below) was enumerated *)
 }
 
-val find_guarded :
-  budget:Bagcq_guard.Budget.t ->
-  ?with_constants:bool ->
-  Schema.t ->
-  max_size:int ->
-  (Structure.t -> bool) ->
-  (Structure.t option * stats, stats) Bagcq_guard.Outcome.t
-(** Budgeted {!find} with progress reporting: [Complete (witness, stats)]
-    when the enumeration ran to the end (or found a witness), or
-    [Exhausted (stats, reason)] with best-so-far statistics when the budget
-    tripped mid-enumeration — including trips inside the predicate, when it
-    shares the same budget. *)
-
 val count_space : Schema.t -> size:int -> int
 (** Number of potential atoms at one domain size (not the number of
     databases). *)
 
-(** {2 Parallel sweeps}
+(** {2 Sweeps over worker domains}
 
     The mask enumeration fanned over a {!Bagcq_parallel.Pool.sweep}: each
     worker domain gets its own {!Bagcq_guard.Budget} shard drawn from the
     caller's budget (exhaustion in any shard stops the sweep; ticks are
     summed back into the parent before returning), and the predicate
     receives the worker's shard so its own backtracking ticks the right
-    budget.  With [jobs = 1] nothing is spawned and the caller's budget is
-    used directly — candidate order, tick placement and statistics then
-    match {!find_guarded} exactly. *)
+    budget.  With [jobs = 1] (the default) nothing is spawned and the
+    caller's budget is used directly. *)
 
 val find_guarded_par :
   budget:Bagcq_guard.Budget.t ->
@@ -90,10 +60,16 @@ val find_guarded_par :
   max_size:int ->
   (budget:Bagcq_guard.Budget.t -> Structure.t -> bool) ->
   (Structure.t option * stats, stats) Bagcq_guard.Outcome.t
-(** Parallel {!find_guarded}.  The witness returned is the {e first} one in
-    the serial enumeration order regardless of [jobs] (workers cooperate on
-    a lowest-witness bound rather than stopping at the first hit), so
-    seeded hunts are reproducible across job counts. *)
+(** The exhaustive find, the only one: the first database in enumeration
+    order (domain size, then atom subset, then constant binding) for
+    which the predicate holds.  [Complete (witness, stats)] when the
+    enumeration ran to the end or found a witness, or [Exhausted (stats,
+    reason)] with best-so-far statistics when the budget tripped —
+    including trips inside the predicate.  The budget is ticked once per
+    candidate before the predicate runs.  The sweep is
+    {!First_witness.run}, one round per domain size, so the witness does
+    not depend on [jobs]; other workers may test a few candidates past it,
+    so [databases_tested] can. *)
 
 val fold_par :
   ?budget:Bagcq_guard.Budget.t ->
@@ -112,4 +88,4 @@ val fold_par :
     workers is scheduling-dependent — merge with a commutative operation).
     When a [?budget] is given and any shard trips, the sweep stops, shards
     are absorbed, and {!Bagcq_guard.Budget.Exhausted_} is re-raised like
-    the serial {!fold}. *)
+    {!fold}. *)

@@ -61,7 +61,7 @@ let feasible_size schema requested =
   done;
   Stdlib.max 0 !size
 
-(* Evaluation caches for one parallel hunt, one per worker domain: each
+(* Evaluation caches for one hunt, one per worker domain: each
    worker plans and memoises without synchronising with the others, and
    the caches die with the hunt, so a long-running server does not keep
    the plans of every component it ever hunted.  UCQ disjuncts sharing
@@ -82,100 +82,26 @@ let per_domain_caches () =
   in
   get
 
-let serial_guarded ~strategy ~budget ~target () =
-  let schema = target.schema in
-  let cache = Eval.create_cache () in
-  let witness = ref None in
-  let exhaustive_complete = ref false in
-  let tested_exhaustive = ref 0 in
-  let largest = ref 0 in
-  let tested_random = ref 0 in
-  let unverified = ref None in
-  let report () =
-    {
-      witness = !witness;
-      exhaustive_complete = !exhaustive_complete;
-      tested_random = !tested_random;
-      unverified = !unverified;
-    }
-  in
-  let progress () =
-    {
-      databases_tested = !tested_exhaustive + !tested_random;
-      ticks_spent = Budget.ticks budget;
-      largest_size_completed = !largest;
-    }
-  in
-  Outcome.guard
-    ~partial:(fun () -> (report (), progress ()))
-    (fun () ->
-      let size = feasible_size schema strategy.exhaustive_max_size in
-      if size >= 1 then begin
-        match
-          Dbspace.find_guarded ~budget schema ~max_size:size (fun d ->
-              target.violation ~budget ~cache d)
-        with
-        | Outcome.Complete (w, stats) ->
-            tested_exhaustive := stats.Dbspace.databases_tested;
-            largest := stats.Dbspace.largest_size_completed;
-            witness := w;
-            exhaustive_complete := size = strategy.exhaustive_max_size
-        | Outcome.Exhausted (stats, reason) ->
-            (* record best-so-far, then let the outer guard shape the
-               partial outcome *)
-            tested_exhaustive := stats.Dbspace.databases_tested;
-            largest := stats.Dbspace.largest_size_completed;
-            raise_notrace (Budget.Exhausted_ reason)
-      end;
-      (match !witness with
-      | Some _ -> ()
-      | None ->
-          let outcome =
-            Sampler.sample_stream ~budget strategy.sampler schema (fun d ->
-                incr tested_random;
-                target.violation ~budget ~cache d)
-          in
-          tested_random := outcome.Sampler.tested;
-          (* re-verify with exact, unbudgeted counting: a candidate the
-             sampler reported but the verifier rejects is an engine
-             inconsistency and is surfaced, never silently dropped *)
-          (match outcome.Sampler.witness with
-          | Some d when target.violation d -> witness := Some d
-          | Some d -> unverified := Some d
-          | None -> ()));
-      (report (), progress ()))
-
-(* The parallel path shares no phase code with [serial_guarded]: its two
-   phases return structured outcomes (shards are absorbed inside
-   [Dbspace.find_guarded_par] / [Sampler.sample_batches_guarded]), so no
-   [Exhausted_] unwinds through here and there is no outer guard. *)
-let parallel_guarded ~strategy ~jobs ~budget ~target () =
+(* The one hunt driver.  Both phases return structured outcomes (shards
+   are absorbed inside [Dbspace.find_guarded_par] /
+   [Sampler.sample_batches_guarded]), so no [Exhausted_] unwinds through
+   here.  [jobs = 1] runs both phases inline on the calling domain. *)
+let hunt_guarded ?(strategy = default) ?(jobs = 1) ~budget ~target () =
   if jobs < 1 then invalid_arg "Hunt.counterexample_guarded: jobs must be >= 1";
   let schema = target.schema in
   let cache = per_domain_caches () in
   let pred ~budget d = target.violation ~budget ~cache:(cache ()) d in
-  let witness = ref None in
-  let exhaustive_complete = ref false in
-  let tested_exhaustive = ref 0 in
-  let largest = ref 0 in
-  let tested_random = ref 0 in
-  let unverified = ref None in
-  let report () =
-    {
-      witness = !witness;
-      exhaustive_complete = !exhaustive_complete;
-      tested_random = !tested_random;
-      unverified = !unverified;
-    }
-  in
-  let progress () =
-    {
-      databases_tested = !tested_exhaustive + !tested_random;
-      ticks_spent = Budget.ticks budget;
-      largest_size_completed = !largest;
-    }
+  let result ?witness ?unverified ~exhaustive_complete ~tested_random
+      (stats : Dbspace.stats) =
+    ( { witness; exhaustive_complete; tested_random; unverified },
+      {
+        databases_tested = stats.databases_tested + tested_random;
+        ticks_spent = Budget.ticks budget;
+        largest_size_completed = stats.largest_size_completed;
+      } )
   in
   let size = feasible_size schema strategy.exhaustive_max_size in
+  let exhaustive_complete = size = strategy.exhaustive_max_size in
   let exhaustive =
     if size >= 1 then Dbspace.find_guarded_par ~budget ~jobs schema ~max_size:size pred
     else
@@ -183,30 +109,29 @@ let parallel_guarded ~strategy ~jobs ~budget ~target () =
   in
   match exhaustive with
   | Outcome.Exhausted (stats, reason) ->
-      tested_exhaustive := stats.Dbspace.databases_tested;
-      largest := stats.Dbspace.largest_size_completed;
-      Outcome.Exhausted ((report (), progress ()), reason)
-  | Outcome.Complete (w, stats) -> (
-      tested_exhaustive := stats.Dbspace.databases_tested;
-      largest := stats.Dbspace.largest_size_completed;
-      witness := w;
-      exhaustive_complete := size = strategy.exhaustive_max_size;
-      match w with
-      | Some _ -> Outcome.Complete (report (), progress ())
-      | None -> (
-          match
-            Sampler.sample_batches_guarded ~budget ~jobs strategy.sampler schema pred
-          with
-          | Outcome.Exhausted (outcome, reason) ->
-              tested_random := outcome.Sampler.tested;
-              Outcome.Exhausted ((report (), progress ()), reason)
-          | Outcome.Complete outcome ->
-              tested_random := outcome.Sampler.tested;
-              (match outcome.Sampler.witness with
-              | Some d when target.violation d -> witness := Some d
-              | Some d -> unverified := Some d
-              | None -> ());
-              Outcome.Complete (report (), progress ())))
+      Outcome.Exhausted
+        (result ~exhaustive_complete:false ~tested_random:0 stats, reason)
+  | Outcome.Complete (Some d, stats) ->
+      Outcome.Complete
+        (result ~witness:d ~exhaustive_complete ~tested_random:0 stats)
+  | Outcome.Complete (None, stats) -> (
+      match Sampler.sample_batches_guarded ~budget ~jobs strategy.sampler schema pred with
+      | Outcome.Exhausted (outcome, reason) ->
+          Outcome.Exhausted
+            (result ~exhaustive_complete ~tested_random:outcome.Sampler.tested stats, reason)
+      | Outcome.Complete outcome ->
+          (* re-verify with exact, unbudgeted counting: a candidate the
+             sampler reported but the verifier rejects is an engine
+             inconsistency and is surfaced, never silently dropped *)
+          let witness, unverified =
+            match outcome.Sampler.witness with
+            | Some d when target.violation d -> (Some d, None)
+            | Some d -> (None, Some d)
+            | None -> (None, None)
+          in
+          Outcome.Complete
+            (result ?witness ?unverified ~exhaustive_complete
+               ~tested_random:outcome.Sampler.tested stats))
 
 (* Hunt metrics, recorded once per hunt from the structured outcome —
    the hot loops inside Dbspace/Sampler stay untouched.  Both exhaustion
@@ -246,11 +171,6 @@ let record ~runs ~witnesses outcome =
   | Some Budget.Deadline -> Metrics.incr hunt_exhausted_deadline
   | None -> ());
   outcome
-
-let hunt_guarded ?(strategy = default) ?jobs ~budget ~target () =
-  match jobs with
-  | None -> serial_guarded ~strategy ~budget ~target ()
-  | Some jobs -> parallel_guarded ~strategy ~jobs ~budget ~target ()
 
 let counterexample_guarded ?strategy ?jobs ~budget ~small ~big () =
   record ~runs:hunt_runs ~witnesses:hunt_witnesses

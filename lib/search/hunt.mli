@@ -64,16 +64,15 @@ val counterexample_guarded :
 
     Both queries are factored once per hunt, not once per candidate
     database ({!Bagcq_reduction.Containment.bag_violation} is staged).
-    Without [?jobs] the hunt runs the seed's serial phases on the calling
-    domain.  With [~jobs:n] it runs the chunked parallel phases
-    ({!Dbspace.find_guarded_par} and {!Sampler.sample_batches_guarded})
-    over [n] worker domains, each with its own budget shard and an
-    evaluation cache that lives for this hunt only; ticks are summed back into [budget], exhaustion in any shard
-    stops the hunt, and the witness (lowest candidate index) is the same
-    for every [n].  [~jobs:1] uses the same chunked phases inline — note
-    its random phase draws a {e different} (equally deterministic) sample
-    sequence than the serial path, so pass [?jobs] for jobs-count
-    comparisons and omit it for seed-compatible behaviour. *)
+    There is one hunt path: the exhaustive phase is
+    {!Dbspace.find_guarded_par} and the random phase is
+    {!Sampler.sample_batches_guarded}, run over [jobs] worker domains
+    (default 1: inline on the calling domain), each with its own budget
+    shard and an evaluation cache that lives for this hunt only.  Ticks
+    are summed back into [budget] and exhaustion in any shard stops the
+    hunt.  The witness (lowest candidate index) is the same for every
+    [jobs] and every entry point — this function, the CLI's [hunt] and
+    [ucq hunt], and the served [hunt] / [ucq_hunt] ops. *)
 
 val ucq_counterexample :
   ?strategy:strategy -> ?jobs:int -> small:Ucq.t -> big:Ucq.t -> unit -> report
@@ -91,8 +90,8 @@ val ucq_counterexample_guarded :
   big:Ucq.t ->
   unit ->
   (report * progress, report * progress) Bagcq_guard.Outcome.t
-(** Budgeted UCQ hunt, mirroring {!counterexample_guarded} (including the
-    serial-vs-[?jobs] sampling caveat).  Recorded under the [ucq_hunt_*]
+(** Budgeted UCQ hunt, mirroring {!counterexample_guarded} (same path,
+    same witness for every [jobs]).  Recorded under the [ucq_hunt_*]
     metric family on top of the shared [hunt_candidates_tested] /
     [hunt_ticks_spent] / [hunt_exhausted] cells. *)
 

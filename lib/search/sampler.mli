@@ -25,27 +25,6 @@ type outcome = {
   tested : int;  (** databases actually evaluated *)
 }
 
-val sample_stream :
-  ?budget:Bagcq_guard.Budget.t ->
-  config ->
-  Schema.t ->
-  (Structure.t -> bool) ->
-  outcome
-(** The underlying loop: generate [config.samples] random databases and
-    return the first for which the predicate holds.  A [?budget] is ticked
-    once per sample; when it trips the stream unwinds with
-    {!Bagcq_guard.Budget.Exhausted_} — use {!sample_stream_guarded} to keep
-    the partial progress instead. *)
-
-val sample_stream_guarded :
-  budget:Bagcq_guard.Budget.t ->
-  config ->
-  Schema.t ->
-  (Structure.t -> bool) ->
-  (outcome, outcome) Bagcq_guard.Outcome.t
-(** Budgeted sampling with graceful degradation: [Exhausted] carries the
-    number of samples completed before the budget tripped. *)
-
 val hunt_queries :
   ?config:config ->
   ?budget:Bagcq_guard.Budget.t ->
@@ -53,25 +32,12 @@ val hunt_queries :
   big:Query.t ->
   unit ->
   outcome
-(** Search for [small(D) > big(D)].  Both queries are factored once per
+(** Search for [small(D) > big(D)] over the sample stream of
+    {!sample_batches_guarded}, inline.  Both queries are factored once per
     call ({!Bagcq_reduction.Containment.bag_violation} is staged), not
-    once per sample; the same holds for the two functions below. *)
-
-val hunt_queries_guarded :
-  ?config:config ->
-  budget:Bagcq_guard.Budget.t ->
-  small:Query.t ->
-  big:Query.t ->
-  unit ->
-  (outcome, outcome) Bagcq_guard.Outcome.t
-
-val hunt_pqueries :
-  ?config:config ->
-  ?budget:Bagcq_guard.Budget.t ->
-  small:Pquery.t ->
-  big:Pquery.t ->
-  unit ->
-  outcome
+    once per sample.  A [?budget] is ticked once per sample and by the
+    counting; when it trips the search unwinds with
+    {!Bagcq_guard.Budget.Exhausted_}. *)
 
 val check_all :
   ?config:config ->
@@ -81,11 +47,12 @@ val check_all :
   outcome
 (** Dual use: sample databases and return the first {e failing} the
     predicate (as [witness]) — for probabilistically validating universal
-    statements such as Definition 3 (≤). *)
+    statements such as Definition 3 (≤).  Same stream and budget
+    behaviour as {!hunt_queries}. *)
 
 val schema_of_pair : Query.t -> Query.t -> Schema.t
 
-(** {2 Parallel batches} *)
+(** {2 The sample stream} *)
 
 val default_batch : int
 (** Samples per worker chunk (16). *)
@@ -98,10 +65,13 @@ val sample_batches_guarded :
   Schema.t ->
   (budget:Bagcq_guard.Budget.t -> Structure.t -> bool) ->
   (outcome, outcome) Bagcq_guard.Outcome.t
-(** Batched, parallel variant of {!sample_stream_guarded}: sample chunks
-    are fanned over [jobs] worker domains, each with its own budget shard
-    absorbed back into [budget] on return.  The i-th candidate database
-    depends only on [(config.seed, i)] — not on [jobs] — and the witness
-    returned is the lowest-index one, so results are reproducible across
-    job counts.  The sample sequence intentionally differs from
-    {!sample_stream} (per-chunk RNGs instead of one stream). *)
+(** The one random-sample stream, which every entry point above and
+    {!Hunt} run: generate [config.samples] random databases and return
+    the first for which the predicate holds.  Sample chunks are fanned
+    over [jobs] worker domains (default 1: inline), each with its own
+    budget shard absorbed back into [budget] on return
+    ({!First_witness.run}).  The i-th candidate database depends only on
+    [(config.seed, i)] — not on [jobs], [chunk] or the entry point — and
+    the witness returned is the lowest-index one, so a seeded search
+    finds the same witness everywhere.  [Exhausted] carries the number of
+    samples tested before the budget tripped. *)

@@ -34,13 +34,6 @@ val stdio :
     — counted under [server_lines_oversized] — and ends the stream, the
     stdio analogue of the TCP loop closing the connection. *)
 
-val handle_connection : Router.t -> Unix.file_descr -> unit
-(** Serve one accepted connection with the blocking stdio loop, then
-    close it.  A peer that disconnects mid-request ends the connection,
-    bumps the router's [server_connections_failed] counter and returns
-    normally.  Exposed for the regression test; {!tcp} itself uses the
-    event loop below. *)
-
 val default_drain_ms : int
 (** 1000. *)
 
@@ -83,7 +76,8 @@ val tcp :
     that have not completed a line for that long with nothing running
     or owed — which is where slow-loris writers land, since partial
     lines do not count as activity.  A peer that vanishes mid-request
-    costs one [server_connections_failed] bump and nothing else.
+    costs at most one [server_connections_failed] bump (a write to a
+    peer that just closed can still succeed) and nothing else.
 
     {b Shutdown.}  Setting [stop] (or delivering a signal whose handler
     sets it — see the CLI) stops accepting, stops reading, and drains:

@@ -136,7 +136,10 @@ let test_trip_mid_backtrack () =
 let test_trip_mid_enumeration () =
   let schema = Schema.make [ e ] in
   let budget = Budget.fault_at ~tick:9 () in
-  match Dbspace.find_guarded ~budget ~with_constants:false schema ~max_size:2 (fun _ -> false) with
+  match
+    Dbspace.find_guarded_par ~budget ~with_constants:false schema ~max_size:2
+      (fun ~budget:_ _ -> false)
+  with
   | Outcome.Exhausted (stats, Budget.Fuel) ->
       (* size 1 has 2 databases, size 2 has 16: tick 9 lands mid-size-2 *)
       Alcotest.(check int) "size 1 completed" 1 stats.Dbspace.largest_size_completed;
@@ -149,8 +152,8 @@ let test_enumeration_complete_with_ample_fuel () =
   let schema = Schema.make [ e ] in
   let budget = Budget.create ~fuel:1_000_000 () in
   match
-    Dbspace.find_guarded ~budget ~with_constants:false schema ~max_size:2 (fun d ->
-        Eval.satisfies d loop_q)
+    Dbspace.find_guarded_par ~budget ~with_constants:false schema ~max_size:2
+      (fun ~budget:_ d -> Eval.satisfies d loop_q)
   with
   | Outcome.Complete (Some d, stats) ->
       Alcotest.(check bool) "witness satisfies" true (Eval.satisfies d loop_q);
@@ -162,7 +165,7 @@ let test_trip_mid_sampling () =
   let schema = Schema.make [ e ] in
   let budget = Budget.fault_at ~tick:7 () in
   let config = { Sampler.default with Sampler.samples = 100 } in
-  match Sampler.sample_stream_guarded ~budget config schema (fun _ -> false) with
+  match Sampler.sample_batches_guarded ~budget config schema (fun ~budget:_ _ -> false) with
   | Outcome.Exhausted (partial, Budget.Fuel) ->
       Alcotest.(check bool) "some samples completed before the trip" true
         (partial.Sampler.tested > 0 && partial.Sampler.tested < 100);

@@ -7,6 +7,8 @@ open Bagcq_cq
 open Bagcq_search
 module Nat = Bagcq_bignum.Nat
 module Eval = Bagcq_hom.Eval
+module Budget = Bagcq_guard.Budget
+module Outcome = Bagcq_guard.Outcome
 
 let e = Build.sym "E" 2
 let u = Build.sym "U" 1
@@ -50,18 +52,27 @@ let test_fold_rejects_huge_space () =
 let test_find () =
   let schema = Schema.make [ e ] in
   (* find a database with a loop *)
-  match Dbspace.find ~with_constants:false schema ~max_size:2 (fun d -> Eval.satisfies d loop_q) with
-  | Some d -> Alcotest.(check bool) "found one with a loop" true (Eval.satisfies d loop_q)
-  | None -> Alcotest.fail "expected a loop database"
+  match
+    Dbspace.find_guarded_par ~budget:(Budget.unlimited ()) ~with_constants:false schema
+      ~max_size:2 (fun ~budget:_ d -> Eval.satisfies d loop_q)
+  with
+  | Outcome.Complete (Some d, _) ->
+      Alcotest.(check bool) "found one with a loop" true (Eval.satisfies d loop_q)
+  | Outcome.Complete (None, _) | Outcome.Exhausted _ ->
+      Alcotest.fail "expected a loop database"
 
 let test_exists_exhaustive_negative () =
   (* no database satisfies E(x,y) ∧ ¬...: use an unsatisfiable ground fact
      over an uninterpreted constant *)
   let impossible = Build.(query [ atom e [ c "nowhere"; c "nowhere" ] ]) in
   let schema = Schema.make [ e ] in
-  Alcotest.(check bool) "nothing satisfies it" false
-    (Dbspace.exists ~with_constants:false schema ~max_size:2 (fun d ->
-         Eval.satisfies d impossible))
+  match
+    Dbspace.find_guarded_par ~budget:(Budget.unlimited ()) ~with_constants:false schema
+      ~max_size:2 (fun ~budget:_ d -> Eval.satisfies d impossible)
+  with
+  | Outcome.Complete (found, _) ->
+      Alcotest.(check bool) "nothing satisfies it" false (found <> None)
+  | Outcome.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
 
 (* ------------------------------------------------------------------ *)
 (* Sampler                                                             *)
