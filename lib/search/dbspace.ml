@@ -108,47 +108,32 @@ let find_guarded_par ~budget ?(jobs = 1) ?(chunk = Pool.default_chunk)
   | None, Some reason -> Outcome.Exhausted (stats, reason)
   | None, None -> Outcome.Complete (None, stats)
 
-type ('w) fold_worker = { f_budget : Budget.t; f_state : 'w }
-
 let fold_par ?budget ?(jobs = 1) ?(chunk = Pool.default_chunk) ?(with_constants = true)
     schema ~max_size ~worker ~f () =
-  if jobs < 1 then invalid_arg "Dbspace.fold_par: jobs must be >= 1";
   let parent = match budget with Some b -> b | None -> Budget.unlimited () in
-  let pool = if jobs = 1 then None else Some (Budget.shard_pool parent) in
-  let workers =
-    Array.init jobs (fun _ ->
-        {
-          f_budget = (match pool with None -> parent | Some p -> Budget.shard p);
-          f_state = worker ();
-        })
+  let states =
+    First_witness.with_shards ~caller:"Dbspace.fold_par" ~budget:parent ~jobs
+    @@ fun shards ->
+    let workers = Array.map (fun b -> (b, worker ())) shards in
+    for size = 1 to max_size do
+      let sp = space ~caller:"fold_par" ~with_constants schema ~size in
+      let body (b, state) lo hi =
+        try
+          for mask = lo to hi - 1 do
+            fold_mask sp mask
+              (fun () db ->
+                Budget.tick b;
+                f ~budget:b state db)
+              ()
+          done;
+          `Continue
+        with Budget.Exhausted_ _ -> `Stop
+      in
+      Pool.sweep ~chunk ~n:(masks sp) ~workers ~body ()
+    done;
+    Array.map snd workers
   in
-  let finish () =
-    match pool with
-    | None -> ()
-    | Some _ -> Array.iter (fun w -> Budget.absorb w.f_budget ~into:parent) workers
-  in
-  (try
-     for size = 1 to max_size do
-       let sp = space ~caller:"fold_par" ~with_constants schema ~size in
-       let body w lo hi =
-         try
-           for mask = lo to hi - 1 do
-             fold_mask sp mask
-               (fun () db ->
-                 Budget.tick w.f_budget;
-                 f ~budget:w.f_budget w.f_state db)
-               ()
-           done;
-           `Continue
-         with Budget.Exhausted_ _ -> `Stop
-       in
-       Pool.sweep ~chunk ~n:(masks sp) ~workers ~body ()
-     done
-   with e ->
-     finish ();
-     raise e);
-  finish ();
   (match (Budget.tripped parent, budget) with
   | Some r, Some _ -> raise_notrace (Budget.Exhausted_ r)
   | _ -> ());
-  Array.map (fun w -> w.f_state) workers
+  states

@@ -63,20 +63,20 @@ let lowest workers =
       | _ -> best)
     None workers
 
-let run ~caller ~budget ~jobs ~chunk ~rounds round pred =
+let with_shards ~caller ~budget ~jobs f =
   if jobs < 1 then invalid_arg (caller ^ ": jobs must be >= 1");
-  let pool = if jobs = 1 then None else Some (Budget.shard_pool budget) in
-  let workers =
-    Array.init jobs (fun _ ->
-        {
-          budget = (match pool with None -> budget | Some p -> Budget.shard p);
-          tested = 0;
-          found = None;
-        })
-  in
-  let absorb () =
-    if pool <> None then Array.iter (fun w -> Budget.absorb w.budget ~into:budget) workers
-  in
+  if jobs = 1 then f [| budget |]
+  else begin
+    let pool = Budget.shard_pool budget in
+    let shards = Array.init jobs (fun _ -> Budget.shard pool) in
+    Fun.protect
+      ~finally:(fun () -> Array.iter (fun s -> Budget.absorb s ~into:budget) shards)
+      (fun () -> f shards)
+  end
+
+let run ~caller ~budget ~jobs ~chunk ~rounds round pred =
+  with_shards ~caller ~budget ~jobs @@ fun shards ->
+  let workers = Array.map (fun budget -> { budget; tested = 0; found = None }) shards in
   let rec go r =
     if r >= rounds then (None, r, None)
     else begin
@@ -92,7 +92,7 @@ let run ~caller ~budget ~jobs ~chunk ~rounds round pred =
       | found, _ -> (Option.map snd found, r, tripped)
     end
   in
-  let witness, rounds_completed, tripped = Fun.protect ~finally:absorb (fun () -> go 0) in
+  let witness, rounds_completed, tripped = go 0 in
   {
     witness;
     tested = Array.fold_left (fun a (w : _ worker) -> a + w.tested) 0 workers;

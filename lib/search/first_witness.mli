@@ -27,6 +27,19 @@ type 'a result = {
   tripped : Bagcq_guard.Budget.reason option;
 }
 
+val with_shards :
+  caller:string ->
+  budget:Bagcq_guard.Budget.t ->
+  jobs:int ->
+  (Bagcq_guard.Budget.t array -> 'a) ->
+  'a
+(** [with_shards ~caller ~budget ~jobs f] calls [f] with one budget per
+    worker: [[| budget |]] itself when [jobs = 1], else [jobs] shards of
+    [budget], which are absorbed back into [budget] when [f] returns or
+    raises.  The worker setup of {!run} and of {!Dbspace.fold_par}.
+    [caller] names the entry point in the [Invalid_argument] raised when
+    [jobs < 1]. *)
+
 val run :
   caller:string ->
   budget:Bagcq_guard.Budget.t ->
