@@ -16,17 +16,24 @@ let potential_atoms schema ~size =
 
 let count_space schema ~size = List.length (potential_atoms schema ~size)
 
-(* enumerate constant bindings: each constant to each domain element *)
+(* Enumerate the bindings of the constants, each constant to each domain
+   element, the first constant slowest; [f] also gets the binding as
+   0-based element indices, [b.(j)] for the j-th constant. *)
 let fold_bindings schema ~size f init base =
-  let constants = Schema.constants schema in
-  let dom = Array.init size (fun i -> Value.int (i + 1)) in
-  let rec go cs d acc =
-    match cs with
-    | [] -> f acc d
-    | c :: rest ->
-        Array.fold_left (fun acc v -> go rest (Structure.bind_constant d c v) acc) acc dom
+  let constants = Array.of_list (Schema.constants schema) in
+  let b = Array.make (Array.length constants) 0 in
+  let rec go j d acc =
+    if j = Array.length constants then f acc b d
+    else begin
+      let acc = ref acc in
+      for v = 0 to size - 1 do
+        b.(j) <- v;
+        acc := go (j + 1) (Structure.bind_constant d constants.(j) (Value.int (v + 1))) !acc
+      done;
+      !acc
+    end
   in
-  go constants base init
+  go 0 base init
 
 (* The databases of one domain size, one per subset (mask) of the
    potential atoms, crossed with every binding of the constants when
@@ -59,7 +66,83 @@ let fold_mask sp mask f acc =
       d := Structure.add_atom !d sym tup
     end
   done;
-  if sp.with_constants then fold_bindings sp.schema ~size:sp.size f acc !d else f acc !d
+  if sp.with_constants then fold_bindings sp.schema ~size:sp.size f acc !d
+  else f acc [||] !d
+
+(* {2 Isomorphism orbits}
+
+   A renaming of the domain maps a candidate (mask, binding) to an
+   isomorphic one, with the same hom counts.  A renaming is kept as the
+   permutation it makes of the domain ([elem], 0-based) and of the atom
+   indices ([atom]), so the image of a mask is a bit permutation. *)
+type symmetry = { elem : int array; atom : int array }
+
+(* Above this many renamings of the domain (5! at domain size 5), the
+   sweep stops pruning: each surviving candidate is compared against
+   every renaming, which at 6! = 720 can cost more than it saves. *)
+let max_symmetries = 120
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+      List.concat_map
+        (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (( <> ) x) l)))
+        l
+
+(* Every renaming of [sp]'s domain but the identity; none above
+   [max_symmetries]. *)
+let symmetries sp =
+  let rec fits k count =
+    k > sp.size || (count * k <= max_symmetries && fits (k + 1) (count * k))
+  in
+  if not (fits 1 1) then []
+  else begin
+    let dom = Array.init sp.size (fun i -> Value.int (i + 1)) in
+    let index = Hashtbl.create (Array.length sp.atoms) in
+    Array.iteri (fun i (sym, tup) -> Hashtbl.replace index (Symbol.name sym, tup) i) sp.atoms;
+    let elem_of v =
+      let rec find i = if Value.equal dom.(i) v then i else find (i + 1) in
+      find 0
+    in
+    (* the identity comes first: skip it *)
+    List.tl (permutations (List.init sp.size Fun.id))
+    |> List.map (fun p ->
+           let elem = Array.of_list p in
+           let rename v = dom.(elem.(elem_of v)) in
+           let atom =
+             Array.map
+               (fun (sym, tup) -> Hashtbl.find index (Symbol.name sym, Tuple.map rename tup))
+               sp.atoms
+           in
+           { elem; atom })
+  end
+
+let image s mask =
+  let m = ref 0 in
+  for i = 0 to Array.length s.atom - 1 do
+    if mask land (1 lsl i) <> 0 then m := !m lor (1 lsl s.atom.(i))
+  done;
+  !m
+
+(* [None] when a renaming maps [mask] to a smaller mask, so every
+   candidate of the mask has an earlier isomorphic copy; otherwise the
+   renamings that fix [mask], which decide between its bindings. *)
+let stabiliser syms mask =
+  let rec go fixed = function
+    | [] -> Some fixed
+    | s :: rest ->
+        let m = image s mask in
+        if m < mask then None else go (if m = mask then s :: fixed else fixed) rest
+  in
+  go [] syms
+
+(* The renamed binding comes before [b] in enumeration order. *)
+let binding_below s b =
+  let rec go j =
+    j < Array.length b
+    && (s.elem.(b.(j)) < b.(j) || (s.elem.(b.(j)) = b.(j) && go (j + 1)))
+  in
+  go 0
 
 (* every subset of the potential atoms of each domain size (crossed with
    the constant bindings).  The budget, when present, is ticked once per
@@ -75,7 +158,7 @@ let fold ?budget ?(with_constants = true) schema ~max_size f init =
     for mask = 0 to masks sp - 1 do
       acc :=
         fold_mask sp mask
-          (fun acc d ->
+          (fun acc _ d ->
             tick ();
             f acc d)
           !acc
@@ -85,23 +168,47 @@ let fold ?budget ?(with_constants = true) schema ~max_size f init =
 
 type stats = {
   databases_tested : int;
+  candidates_pruned : int;
   largest_size_completed : int;
 }
 
 let find_guarded_par ~budget ?(jobs = 1) ?(chunk = Pool.default_chunk)
     ?(with_constants = true) schema ~max_size pred =
+  let pruned = Atomic.make 0 in
+  let prune k = ignore (Atomic.fetch_and_add pruned k) in
   (* one round per domain size; a mask's candidates are its constant
-     bindings, so the witness is the first (mask, binding) pair *)
+     bindings, so the witness is the first (mask, binding) pair.  Only
+     the least candidate of each orbit reaches [pred] (and the budget):
+     every member of an orbit is a witness or none is, so the first
+     witness is its orbit's least member and the pruning never hides it *)
   let round r =
     let sp = space ~caller:"find_guarded_par" ~with_constants schema ~size:(r + 1) in
-    (masks sp, fun _ mask k -> fold_mask sp mask (fun () d -> k d) ())
+    let syms = symmetries sp in
+    let bindings =
+      if with_constants then
+        List.fold_left (fun n _ -> n * sp.size) 1 (Schema.constants schema)
+      else 1
+    in
+    ( masks sp,
+      fun _ mask k ->
+        match stabiliser syms mask with
+        | None -> prune bindings
+        | Some fixed ->
+            fold_mask sp mask
+              (fun () b d ->
+                if List.exists (fun s -> binding_below s b) fixed then prune 1 else k d)
+              () )
   in
   let r =
     First_witness.run ~caller:"Dbspace.find_guarded_par" ~budget ~jobs ~chunk
       ~rounds:max_size round pred
   in
   let stats =
-    { databases_tested = r.tested; largest_size_completed = r.rounds_completed }
+    {
+      databases_tested = r.tested;
+      candidates_pruned = Atomic.get pruned;
+      largest_size_completed = r.rounds_completed;
+    }
   in
   match (r.witness, r.tripped) with
   | Some d, _ -> Outcome.Complete (Some d, stats)
@@ -121,7 +228,7 @@ let fold_par ?budget ?(jobs = 1) ?(chunk = Pool.default_chunk) ?(with_constants 
         try
           for mask = lo to hi - 1 do
             fold_mask sp mask
-              (fun () db ->
+              (fun () _ db ->
                 Budget.tick b;
                 f ~budget:b state db)
               ()

@@ -32,7 +32,12 @@ val fold :
     with {!Bagcq_guard.Budget.Exhausted_}. *)
 
 type stats = {
-  databases_tested : int;  (** candidate databases handed to the predicate *)
+  databases_tested : int;
+      (** candidate databases handed to the predicate: one per isomorphism
+          orbit the sweep reached *)
+  candidates_pruned : int;
+      (** candidates skipped because a renaming of the domain maps them to
+          an earlier one *)
   largest_size_completed : int;
       (** every database of this domain size (and below) was enumerated *)
 }
@@ -50,6 +55,11 @@ val count_space : Schema.t -> size:int -> int
     receives the worker's shard so its own backtracking ticks the right
     budget.  With [jobs = 1] (the default) nothing is spawned and the
     caller's budget is used directly. *)
+
+val max_symmetries : int
+(** 120 — {!find_guarded_par} prunes isomorphic candidates at the domain
+    sizes [n] with [n! <= max_symmetries] (up to 5), and tests every
+    candidate above. *)
 
 val find_guarded_par :
   budget:Bagcq_guard.Budget.t ->
@@ -69,7 +79,18 @@ val find_guarded_par :
     candidate before the predicate runs.  The sweep is
     {!First_witness.run}, one round per domain size, so the witness does
     not depend on [jobs]; other workers may test a few candidates past it,
-    so [databases_tested] can. *)
+    so [databases_tested] and [candidates_pruned] can.
+
+    {b The predicate must be invariant under renaming domain elements}:
+    it must hold on a database iff it holds on every isomorphic copy
+    (atoms and constant bindings renamed alike).  Hom counts are, so
+    condition (≤) of Definition 3 is.  The sweep relies on it to test one
+    candidate per isomorphism orbit: a candidate reaches the predicate
+    (and ticks the budget) only if no renaming of the domain maps it to
+    an earlier candidate (smaller mask, or same mask and earlier
+    binding).  The first witness is the least member of its orbit, so
+    the witness is the one an unpruned scan returns.  At domain sizes
+    above {!max_symmetries} every candidate is tested. *)
 
 val fold_par :
   ?budget:Bagcq_guard.Budget.t ->

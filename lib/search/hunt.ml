@@ -20,6 +20,7 @@ type report = {
 
 type progress = {
   databases_tested : int;
+  candidates_pruned : int;
   ticks_spent : int;
   largest_size_completed : int;
 }
@@ -96,6 +97,7 @@ let hunt_guarded ?(strategy = default) ?(jobs = 1) ~budget ~target () =
     ( { witness; exhaustive_complete; tested_random; unverified },
       {
         databases_tested = stats.databases_tested + tested_random;
+        candidates_pruned = stats.candidates_pruned;
         ticks_spent = Budget.ticks budget;
         largest_size_completed = stats.largest_size_completed;
       } )
@@ -105,7 +107,10 @@ let hunt_guarded ?(strategy = default) ?(jobs = 1) ~budget ~target () =
   let exhaustive =
     if size >= 1 then Dbspace.find_guarded_par ~budget ~jobs schema ~max_size:size pred
     else
-      Outcome.Complete (None, Dbspace.{ databases_tested = 0; largest_size_completed = 0 })
+      Outcome.Complete
+        ( None,
+          Dbspace.{ databases_tested = 0; candidates_pruned = 0; largest_size_completed = 0 }
+        )
   in
   match exhaustive with
   | Outcome.Exhausted (stats, reason) ->
@@ -142,6 +147,7 @@ module Metrics = Bagcq_obs.Metrics
 
 let hunt_runs = Metrics.counter Metrics.global "hunt_runs"
 let hunt_candidates = Metrics.counter Metrics.global "hunt_candidates_tested"
+let hunt_pruned = Metrics.counter Metrics.global "hunt_candidates_pruned"
 let hunt_witnesses = Metrics.counter Metrics.global "hunt_witnesses_found"
 let hunt_ticks = Metrics.counter Metrics.global "hunt_ticks_spent"
 let ucq_hunt_runs = Metrics.counter Metrics.global "ucq_hunt_runs"
@@ -164,6 +170,7 @@ let record ~runs ~witnesses outcome =
         (report, progress, Some reason)
   in
   Metrics.add hunt_candidates progress.databases_tested;
+  Metrics.add hunt_pruned progress.candidates_pruned;
   Metrics.add hunt_ticks progress.ticks_spent;
   if report.witness <> None then Metrics.incr witnesses;
   (match reason with

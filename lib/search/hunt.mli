@@ -34,7 +34,12 @@ type report = {
 }
 
 type progress = {
-  databases_tested : int;  (** exhaustive candidates plus random samples *)
+  databases_tested : int;
+      (** exhaustive candidates plus random samples; the exhaustive phase
+          tests one candidate per isomorphism orbit (see
+          {!Dbspace.find_guarded_par}) *)
+  candidates_pruned : int;
+      (** exhaustive candidates skipped as isomorphic to an earlier one *)
   ticks_spent : int;  (** budget ticks consumed across all phases *)
   largest_size_completed : int;
       (** every database up to this domain size was exhaustively tested *)

@@ -78,7 +78,8 @@ for counter in plan_components plan_dp_selected plan_fallback \
                store_registered store_delta_maintained store_delta_recomputed \
                store_stale store_repairs server_cache_evicted \
                ucq_contain_checks ucq_hom_checks \
-               ucq_hunt_runs ucq_hunt_witnesses_found; do
+               ucq_hunt_runs ucq_hunt_witnesses_found \
+               hunt_candidates_tested hunt_candidates_pruned; do
   echo "$serve_out" | grep -q "\"name\": \"$counter\"" \
     || { echo "serve --stdio: metrics op missing counter $counter" >&2; exit 1; }
 done

@@ -269,6 +269,42 @@ let prop_exhausted_witness_verifies =
                  | None -> true))
            [ 0; 1; 7; 50; 300; 2_000 ]))
 
+(* Every fuel level of a hunt, one tick at a time: a held pair and a
+   violated pair at exhaustive size 3 with a few samples.  Each outcome is
+   the unlimited report (same witness, same databases tested) or an
+   [Exhausted] one that stayed within its fuel and tested no more. *)
+let test_hunt_fuel_sweep () =
+  let strategy =
+    { Hunt.exhaustive_max_size = 3; sampler = { Sampler.default with Sampler.samples = 5 } }
+  in
+  List.iter
+    (fun (name, small, big) ->
+      let hunt budget = Hunt.counterexample_guarded ~strategy ~budget ~small ~big () in
+      let full, full_progress =
+        match hunt (Budget.unlimited ()) with
+        | Outcome.Complete r -> r
+        | Outcome.Exhausted _ -> Alcotest.fail (name ^ ": unlimited budget exhausted")
+      in
+      for fuel = 1 to full_progress.Hunt.ticks_spent + 1 do
+        let at = Printf.sprintf "%s, fuel %d" name fuel in
+        match hunt (Budget.create ~fuel ()) with
+        | Outcome.Complete (report, progress) ->
+            Alcotest.(check bool) (at ^ ": witness") true
+              (witness_equal report.Hunt.witness full.Hunt.witness);
+            Alcotest.(check int) (at ^ ": databases tested")
+              full_progress.Hunt.databases_tested progress.Hunt.databases_tested
+        | Outcome.Exhausted ((_, progress), _) ->
+            if progress.Hunt.ticks_spent > fuel then
+              Alcotest.failf "%s: %d ticks spent" at progress.Hunt.ticks_spent;
+            if progress.Hunt.databases_tested > full_progress.Hunt.databases_tested then
+              Alcotest.failf "%s: %d databases tested" at progress.Hunt.databases_tested
+      done;
+      (* the unlimited run's own fuel is enough *)
+      match hunt (Budget.create ~fuel:full_progress.Hunt.ticks_spent ()) with
+      | Outcome.Complete _ -> ()
+      | Outcome.Exhausted _ -> Alcotest.fail (name ^ ": its own spend must complete"))
+    [ ("held loop/edge", loop_q, edge_q); ("violated path/edge", path_q, edge_q) ]
+
 (* determinism: the same fuel trips at the same point with the same stats *)
 let test_fuel_deterministic () =
   let run () =
@@ -308,5 +344,6 @@ let () =
           prop_solver_budget_transparent;
           prop_exhausted_witness_verifies;
           Alcotest.test_case "fuel deterministic" `Quick test_fuel_deterministic;
+          Alcotest.test_case "hunt fuel sweep" `Quick test_hunt_fuel_sweep;
         ] );
     ]

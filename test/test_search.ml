@@ -9,6 +9,7 @@ module Nat = Bagcq_bignum.Nat
 module Eval = Bagcq_hom.Eval
 module Budget = Bagcq_guard.Budget
 module Outcome = Bagcq_guard.Outcome
+module Containment = Bagcq_reduction.Containment
 
 let e = Build.sym "E" 2
 let u = Build.sym "U" 1
@@ -73,6 +74,154 @@ let test_exists_exhaustive_negative () =
   | Outcome.Complete (found, _) ->
       Alcotest.(check bool) "nothing satisfies it" false (found <> None)
   | Outcome.Exhausted _ -> Alcotest.fail "unlimited budget exhausted"
+
+(* The exhaustive sweep tests one candidate per isomorphism orbit.  These
+   are the orbit counts under renamings of the domain, sizes 1-3, no
+   constants. *)
+let test_canonical_counts () =
+  List.iter
+    (fun (name, symbols, total, canonical) ->
+      let schema = Schema.make symbols in
+      Alcotest.(check int) (name ^ ": all candidates") total
+        (Dbspace.fold ~with_constants:false schema ~max_size:3 (fun n _ -> n + 1) 0);
+      match
+        Dbspace.find_guarded_par ~budget:(Budget.unlimited ()) ~with_constants:false schema
+          ~max_size:3 (fun ~budget:_ _ -> false)
+      with
+      | Outcome.Complete (None, stats) ->
+          Alcotest.(check int) (name ^ ": tested") canonical stats.Dbspace.databases_tested;
+          Alcotest.(check int) (name ^ ": pruned") (total - canonical)
+            stats.Dbspace.candidates_pruned
+      | _ -> Alcotest.fail (name ^ ": the sweep must complete without a witness"))
+    [
+      ("E/2", [ e ], 530, 116);
+      ("E/2 + U/1", [ e; u ], 4164, 792);
+      ("three unary", [ u; Build.sym "V" 1; Build.sym "W" 1 ], 584, 164);
+    ]
+
+(* Differential: the pruned sweep returns the witness of an unpruned
+   first-violation scan written with [Dbspace.fold], or none when it has
+   none, on random pairs with constants and inequalities. *)
+exception First of Structure.t
+
+let first_by_fold schema ~max_size pred =
+  match Dbspace.fold schema ~max_size (fun () d -> if pred d then raise (First d)) () with
+  | () -> None
+  | exception First d -> Some d
+
+let show = function
+  | None -> "none"
+  | Some d -> Format.asprintf "%a" Structure.pp d
+
+(* a query of 1-3 atoms over [symbols], with terms drawn from x, y, z and
+   [constants], and sometimes an inequality between two of its terms *)
+let random_query rng ~symbols ~constants =
+  let constants = Array.of_list (List.map (fun c -> "'" ^ c ^ "'") constants) in
+  let term () =
+    if Array.length constants > 0 && Random.State.int rng 8 = 0 then
+      constants.(Random.State.int rng (Array.length constants))
+    else [| "x"; "y"; "z" |].(Random.State.int rng 3)
+  in
+  let atoms =
+    List.init
+      (1 + Random.State.int rng 3)
+      (fun _ ->
+        let sym = List.nth symbols (Random.State.int rng (List.length symbols)) in
+        (Symbol.name sym, List.init (Symbol.arity sym) (fun _ -> term ())))
+  in
+  let neq =
+    match List.sort_uniq compare (List.concat_map snd atoms) with
+    | a :: b :: _ when Random.State.int rng 3 = 0 -> [ a ^ " != " ^ b ]
+    | _ -> []
+  in
+  String.concat " & "
+    (List.map (fun (r, args) -> r ^ "(" ^ String.concat "," args ^ ")") atoms @ neq)
+
+(* [shapes]: symbols, constants and the sweep's largest domain size.  The
+   unary shape sweeps to size 6, above [Dbspace.max_symmetries], so the
+   unpruned fallback runs too. *)
+let shapes =
+  [
+    ([ e ], [ "a" ], 3);
+    ([ e; u ], [ "a"; "b" ], 2);
+    ([ u ], [ "a" ], 6);
+  ]
+
+let check_same_witness ~what schema ~max_size ~found pred =
+  let reference = first_by_fold schema ~max_size (fun d -> pred ?budget:None d) in
+  incr (if reference = None then snd found else fst found);
+  List.iter
+    (fun jobs ->
+      match
+        Dbspace.find_guarded_par ~budget:(Budget.unlimited ()) ~jobs schema ~max_size
+          (fun ~budget d -> pred ?budget:(Some budget) d)
+      with
+      | Outcome.Complete (w, _) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s, jobs=%d" what jobs)
+            (show reference) (show w)
+      | Outcome.Exhausted _ -> Alcotest.fail (what ^ ": unlimited budget exhausted"))
+    [ 1; 2 ]
+
+let test_pruned_matches_unpruned () =
+  let rng = Random.State.make [| 17 |] in
+  let found = (ref 0, ref 0) in
+  (* first witnesses on a mask that swapping 1 and 2 fixes, where the
+     swap decides between the bindings of two constants *)
+  List.iter
+    (fun small_s ->
+      let small = Parse.parse_exn small_s and big = Parse.parse_exn "E(x,x)" in
+      check_same_witness ~what:small_s (Sampler.schema_of_pair small big) ~max_size:2
+        ~found
+        (fun ?budget d -> Containment.bag_violation ~small ~big ?budget d))
+    [ "U('a') & U('b') & 'a' != 'b'"; "E('a','b') & E('b','a')" ];
+  List.iter
+    (fun (symbols, constants, max_size) ->
+      for _ = 1 to 12 do
+        let gen () = random_query rng ~symbols ~constants in
+        let q = gen () in
+        (* a random pair, and [q] plus conjuncts against [q], which holds
+           whenever the added conjuncts bring no new variable *)
+        List.iter
+          (fun (small_s, big_s) ->
+            let small = Parse.parse_exn small_s and big = Parse.parse_exn big_s in
+            check_same_witness
+              ~what:(Printf.sprintf "cq small: %s / big: %s" small_s big_s)
+              (Sampler.schema_of_pair small big) ~max_size ~found
+              (fun ?budget d -> Containment.bag_violation ~small ~big ?budget d))
+          [ (gen (), q); (q ^ " & " ^ gen (), q) ];
+        let small_s = gen () ^ " | " ^ gen () and big_s = gen () in
+        let small = Parse.parse_ucq_exn small_s and big = Parse.parse_ucq_exn big_s in
+        check_same_witness
+          ~what:(Printf.sprintf "ucq small: %s / big: %s" small_s big_s)
+          (Schema.union (Ucq.schema small) (Ucq.schema big))
+          ~max_size ~found
+          (fun ?budget d -> Containment.ucq_bag_violation ~small ~big ?budget d)
+      done)
+    shapes;
+  (* neither half of the comparison may be vacuous *)
+  Alcotest.(check bool) "some pairs have a witness" true (!(fst found) > 0);
+  Alcotest.(check bool) "some pairs have none" true (!(snd found) > 0)
+
+(* Above the symmetry bound every candidate is tested: at size 6 the one
+   witness of six distinct U-elements is the last mask, reached unpruned. *)
+let test_fallback_tests_every_candidate () =
+  let schema = Schema.make [ u ] in
+  let six = Parse.parse_exn
+      "U(x1) & U(x2) & U(x3) & U(x4) & U(x5) & U(x6) & x1 != x2 & x1 != x3 & x1 != x4 \
+       & x1 != x5 & x1 != x6 & x2 != x3 & x2 != x4 & x2 != x5 & x2 != x6 & x3 != x4 \
+       & x3 != x5 & x3 != x6 & x4 != x5 & x4 != x6 & x5 != x6"
+  in
+  match
+    Dbspace.find_guarded_par ~budget:(Budget.unlimited ()) ~with_constants:false schema
+      ~max_size:6 (fun ~budget:_ d -> Eval.satisfies d six)
+  with
+  | Outcome.Complete (Some d, stats) ->
+      Alcotest.(check int) "six U-atoms" 6 (Structure.total_atoms d);
+      (* sizes 1-5 test n + 1 orbits each (how many of the n elements are
+         in U); size 6 tests all 64 masks *)
+      Alcotest.(check int) "tested" (2 + 3 + 4 + 5 + 6 + 64) stats.Dbspace.databases_tested
+  | _ -> Alcotest.fail "expected the six-element witness"
 
 (* ------------------------------------------------------------------ *)
 (* Sampler                                                             *)
@@ -215,6 +364,10 @@ let () =
           Alcotest.test_case "rejects huge spaces" `Quick test_fold_rejects_huge_space;
           Alcotest.test_case "find" `Quick test_find;
           Alcotest.test_case "exists negative" `Quick test_exists_exhaustive_negative;
+          Alcotest.test_case "canonical counts" `Quick test_canonical_counts;
+          Alcotest.test_case "pruned = unpruned witness" `Quick test_pruned_matches_unpruned;
+          Alcotest.test_case "fallback above the bound" `Quick
+            test_fallback_tests_every_candidate;
         ] );
       ( "sampler",
         [
