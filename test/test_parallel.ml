@@ -267,7 +267,8 @@ let test_fold_par_totals_independent_of_jobs () =
 (* ------------------------------------------------------------------ *)
 
 (* Two containments that hold, so both phases run to the end: exhaustive
-   size 3 (530 databases over one binary symbol) then 200 samples.  The
+   size 3 (116 databases, one per isomorphism orbit of the 530 over one
+   binary symbol) then 200 samples.  The
    pinned figures are the fuel model — one tick per candidate plus the
    kernels' ticks — and must not move when the evaluation path changes:
    on a held pair every database is tested, so the totals are the same
@@ -301,16 +302,16 @@ let test_pinned_fuel_model () =
         (fun ~budget ->
           Hunt.counterexample_guarded ~strategy ?jobs ~budget ~small:triangle
             ~big:triangle_up2 ())
-        ~ticks ~tested:730 ~random:200)
-    [ ("no ?jobs", None, 18747); ("jobs=1", Some 1, 18747); ("jobs=2", Some 2, 18747) ];
+        ~ticks ~tested:316 ~random:200)
+    [ ("no ?jobs", None, 7368); ("jobs=1", Some 1, 7368); ("jobs=2", Some 2, 7368) ];
   List.iter
     (fun (name, jobs, ticks) ->
       pinned_hunt ("ucq " ^ name)
         (fun ~budget ->
           Hunt.ucq_counterexample_guarded ~strategy ?jobs ~budget ~small:ucq_small
             ~big:ucq_big ())
-        ~ticks ~tested:730 ~random:200)
-    [ ("no ?jobs", None, 11923); ("jobs=1", Some 1, 11923); ("jobs=2", Some 2, 11923) ];
+        ~ticks ~tested:316 ~random:200)
+    [ ("no ?jobs", None, 4723); ("jobs=1", Some 1, 4723); ("jobs=2", Some 2, 4723) ];
   let unguarded = Hunt.counterexample ~strategy ~small:triangle ~big:triangle_up2 () in
   Alcotest.(check int) "cq unguarded: tested_random" 200 unguarded.Hunt.tested_random;
   let unguarded = Hunt.ucq_counterexample ~strategy ~small:ucq_small ~big:ucq_big () in
