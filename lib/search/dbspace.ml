@@ -69,17 +69,16 @@ let fold_mask sp mask f acc =
   if sp.with_constants then fold_bindings sp.schema ~size:sp.size f acc !d
   else f acc [||] !d
 
-(* {2 Isomorphism orbits}
-
-   A renaming of the domain maps a candidate (mask, binding) to an
-   isomorphic one, with the same hom counts.  A renaming is kept as the
-   permutation it makes of the domain ([elem], 0-based) and of the atom
-   indices ([atom]), so the image of a mask is a bit permutation. *)
+(* Isomorphism orbits.  A renaming of the domain maps a candidate
+   (mask, binding) to an isomorphic one, with the same hom counts.  A
+   renaming is kept as the permutation it makes of the domain ([elem],
+   0-based) and of the atom indices ([atom]), so the image of a mask is a
+   bit permutation. *)
 type symmetry = { elem : int array; atom : int array }
 
 (* Above this many renamings of the domain (5! at domain size 5), the
    sweep stops pruning: each surviving candidate is compared against
-   every renaming, which at 6! = 720 can cost more than it saves. *)
+   every renaming, so the check grows as n!. *)
 let max_symmetries = 120
 
 let rec permutations = function
@@ -97,22 +96,15 @@ let symmetries sp =
   in
   if not (fits 1 1) then []
   else begin
-    let dom = Array.init sp.size (fun i -> Value.int (i + 1)) in
     let index = Hashtbl.create (Array.length sp.atoms) in
-    Array.iteri (fun i (sym, tup) -> Hashtbl.replace index (Symbol.name sym, tup) i) sp.atoms;
-    let elem_of v =
-      let rec find i = if Value.equal dom.(i) v then i else find (i + 1) in
-      find 0
-    in
+    Array.iteri (fun i atom -> Hashtbl.replace index atom i) sp.atoms;
     (* the identity comes first: skip it *)
     List.tl (permutations (List.init sp.size Fun.id))
     |> List.map (fun p ->
            let elem = Array.of_list p in
-           let rename v = dom.(elem.(elem_of v)) in
+           let rename = function Value.Int i -> Value.Int (elem.(i - 1) + 1) | v -> v in
            let atom =
-             Array.map
-               (fun (sym, tup) -> Hashtbl.find index (Symbol.name sym, Tuple.map rename tup))
-               sp.atoms
+             Array.map (fun (sym, tup) -> Hashtbl.find index (sym, Tuple.map rename tup)) sp.atoms
            in
            { elem; atom })
   end

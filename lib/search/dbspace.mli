@@ -24,9 +24,10 @@ val fold :
   ('a -> Structure.t -> 'a) ->
   'a ->
   'a
-(** Folds over every database.  When [with_constants] (default true) every
-    assignment of the schema's constants to domain elements is enumerated
-    too; otherwise constants are left uninterpreted.
+(** Folds over every database, isomorphic copies included (only
+    {!find_guarded_par} prunes them).  When [with_constants] (default
+    true) every assignment of the schema's constants to domain elements
+    is enumerated too; otherwise constants are left uninterpreted.
     Raises [Invalid_argument] when the space is too large.  A [?budget] is
     ticked once per candidate database; when it trips, the fold unwinds
     with {!Bagcq_guard.Budget.Exhausted_}. *)

@@ -206,6 +206,7 @@ let test_pruned_matches_unpruned () =
 (* Above the symmetry bound every candidate is tested: at size 6 the one
    witness of six distinct U-elements is the last mask, reached unpruned. *)
 let test_fallback_tests_every_candidate () =
+  Alcotest.(check bool) "6! renamings exceed the bound" true (720 > Dbspace.max_symmetries);
   let schema = Schema.make [ u ] in
   let six = Parse.parse_exn
       "U(x1) & U(x2) & U(x3) & U(x4) & U(x5) & U(x6) & x1 != x2 & x1 != x3 & x1 != x4 \
